@@ -27,6 +27,7 @@
 #include "common/timer.hpp"
 #include "geometry/generators.hpp"
 #include "mpc/cluster.hpp"
+#include "mpc/step.hpp"
 #include "partition/ball_partition.hpp"
 #include "partition/grid_partition.hpp"
 #include "simd_bench_util.hpp"
@@ -67,9 +68,22 @@ void report_scaling(benchmark::State& state, std::size_t threads, Fn&& fn) {
       static_cast<double>(par::hardware_threads());
 }
 
-/// Acceptance workload: Cluster::run_round on a 64-machine pipeline whose
-/// per-machine step does real local work (an FWHT over a local buffer),
-/// the shape of every compute round in Algorithm 2.
+/// The per-machine step of BM_ClusterRoundScaling: real local work (two
+/// FWHTs over the machine's buffer), the shape of every compute round in
+/// Algorithm 2.
+mpc::Step make_fwht_round(mpc::StepParams /*params*/) {
+  return [](mpc::MachineContext& ctx) {
+    auto local = ctx.store().get_vector<double>("w");
+    fwht_normalized(local);
+    fwht_normalized(local);  // involution: keeps values bounded
+    ctx.store().set_vector("w", local);
+  };
+}
+
+const mpc::RegisterStep kRegFwhtRound{"bench/fwht-round", make_fwht_round};
+
+/// Acceptance workload: Cluster::run_round on a 64-machine pipeline of
+/// "bench/fwht-round" steps.
 void BM_ClusterRoundScaling(benchmark::State& state) {
   const std::size_t threads = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kMachines = 64;
@@ -91,12 +105,7 @@ void BM_ClusterRoundScaling(benchmark::State& state) {
         cluster.store(id).set_vector("w", local);
       }
       for (std::size_t round = 0; round < kRounds; ++round) {
-        cluster.run_round([](mpc::MachineContext& ctx) {
-          auto local = ctx.store().get_vector<double>("w");
-          fwht_normalized(local);
-          fwht_normalized(local);  // involution: keeps values bounded
-          ctx.store().set_vector("w", local);
-        });
+        cluster.run_round(mpc::StepSpec("bench/fwht-round"));
       }
     };
     par::set_default_threads(0);

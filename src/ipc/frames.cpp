@@ -59,9 +59,6 @@ Frame decode(std::span<const std::uint8_t> payload,
   Frame frame;
   frame.kind = static_cast<FrameKind>(d.read<std::uint32_t>());
   switch (frame.kind) {
-    case FrameKind::kCommit:
-      frame.round = d.read<std::uint64_t>();
-      return frame;
     case FrameKind::kError:
       frame.error.rank = d.read<mpc::MachineId>();
       frame.error.round = d.read<std::uint64_t>();
@@ -165,13 +162,6 @@ mpc::Buffer encode_error(const ErrorFrame& frame) {
   s.write(frame.rank);
   s.write(frame.round);
   s.write_string(frame.message);
-  return envelope(s);
-}
-
-mpc::Buffer encode_commit(std::uint64_t round) {
-  Serializer s;
-  s.write(static_cast<std::uint32_t>(FrameKind::kCommit));
-  s.write(round);
   return envelope(s);
 }
 

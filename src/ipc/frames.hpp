@@ -17,14 +17,12 @@
 // a shared-memory BlobArena when the frame travels next to one — see
 // docs/ipc-transport.md for the full grammar.
 //
-// Frame kinds, by worker mode. Fork-per-round: the worker sends exactly
-// one kResult (its store delta + outbox) or one kError (its step threw),
-// then blocks until the coordinator's kCommit releases it — that reply is
-// the round barrier. Persistent: the coordinator sends one kStep per
-// round (the named StepSpec, a store patch, and the rank's delivered
-// inbox); the worker answers kResult/kError and loops straight back into
-// a blocking read — the *next* kStep is the implicit commit, and a
-// kShutdown (or plain EOF when the pool dies) ends the worker.
+// Frame kinds: the coordinator sends one kStep per round (the named
+// StepSpec, a store patch, and the rank's delivered inbox); the worker
+// answers kResult (its store delta + outbox) or kError (its step threw)
+// and loops straight back into a blocking read — the *next* kStep is the
+// implicit commit, and a kShutdown (or plain EOF when the pool dies)
+// ends the worker.
 #pragma once
 
 #include <cstddef>
@@ -43,14 +41,14 @@ namespace mpte::ipc {
 enum class FrameKind : std::uint32_t {
   /// Worker -> coordinator: the rank's post-step store delta + outbox.
   kResult = 1,
-  /// Coordinator -> worker: the round is committed; the worker may exit.
-  kCommit = 2,
+  // 2 is retired (the fork-per-round release frame); it decodes as an
+  // unknown kind. Never reuse it.
   /// Worker -> coordinator: the step threw; the payload is the message.
   kError = 3,
-  /// Coordinator -> persistent worker: execute one round (named step +
-  /// store patch + delivered inbox).
+  /// Coordinator -> worker: execute one round (named step + store patch
+  /// + delivered inbox).
   kStep = 4,
-  /// Coordinator -> persistent worker: exit cleanly.
+  /// Coordinator -> worker: exit cleanly.
   kShutdown = 5,
 };
 
@@ -79,11 +77,11 @@ struct ErrorFrame {
   std::string message;
 };
 
-/// Coordinator -> persistent worker: everything one rank needs to run one
-/// round. The worker's store survives between rounds, so `store_patch`
-/// carries only what changed coordinator-side since the last kStep this
-/// worker saw (host-side writes, fork-fallback rounds) — or, with
-/// `reset_store`, a full resync after (re)spawn.
+/// Coordinator -> worker: everything one rank needs to run one round.
+/// The worker's store survives between rounds, so `store_patch` carries
+/// only what changed coordinator-side since the last kStep this worker
+/// saw (host-side writes) — or, with `reset_store`, a full resync after
+/// (re)spawn.
 struct StepFrame {
   mpc::MachineId rank = 0;
   std::uint64_t round = 0;
@@ -104,7 +102,7 @@ struct StepFrame {
 
 /// A decoded frame; `kind` selects which member is meaningful.
 struct Frame {
-  FrameKind kind = FrameKind::kCommit;
+  FrameKind kind = FrameKind::kShutdown;
   std::uint64_t round = 0;
   ResultFrame result;
   ErrorFrame error;
@@ -138,12 +136,11 @@ struct BlobArena {
 inline constexpr std::size_t kArenaBlobMin = 256;
 
 /// Encoders: `arena` is optional; nullptr inlines every blob (the
-/// socketpair wire format). Frames with no blob payloads (commit, error,
+/// socketpair wire format). Frames with no blob payloads (error,
 /// shutdown) have no arena parameter.
 mpc::Buffer encode_result(const ResultFrame& frame,
                           BlobArena* arena = nullptr);
 mpc::Buffer encode_error(const ErrorFrame& frame);
-mpc::Buffer encode_commit(std::uint64_t round);
 mpc::Buffer encode_step(const StepFrame& frame, BlobArena* arena = nullptr);
 mpc::Buffer encode_shutdown();
 

@@ -4,12 +4,11 @@
 // rank always gets a Unix-domain socketpair — the frame carrier under
 // TransportKind::kSocketpair, and the fallback/liveness channel under
 // kShmRing, where frames normally travel a pre-fork shared-memory ring
-// pair (see shm_ring.hpp). The child inherits the coordinator's full
-// pre-round state copy-on-write — that is how a host std::function Step
-// crosses the process boundary without being serializable — runs the
-// supplied entry function, and must _exit (never return: running atexit
-// handlers or flushing inherited stdio in a forked child would corrupt
-// the parent's world).
+// pair (see shm_ring.hpp). The child inherits the coordinator's
+// StepRegistry copy-on-write — which is how a step name resolves on both
+// ends — runs the supplied entry function, and must _exit (never return:
+// running atexit handlers or flushing inherited stdio in a forked child
+// would corrupt the parent's world).
 //
 // The pool owns the parent-side fds, the shared-memory channels, and the
 // pids. Its destructor SIGKILLs and reaps anything still running, so no

@@ -138,16 +138,16 @@ void Cluster::run_round(const StepSpec& spec, std::string label) {
   // finish; the audit below never runs on a failed round. Each step runs
   // under a ScratchScope so kernel temporaries it bumped off the worker's
   // scratch arena are reclaimed before the next machine's step reuses the
-  // thread. Multi-process: the executor forks one worker per rank and
-  // leaves machines_/outboxes_ in the identical post-step state, so
-  // everything below this block is backend-independent.
+  // thread. Multi-process: the executor runs the step on its persistent
+  // workers and leaves machines_/outboxes_ in the identical post-step
+  // state, so everything below this block is backend-independent.
   auto& outboxes = outboxes_;
   if (config_.backend == Backend::kMultiProcess) {
     if (!executor_) executor_ = make_multiprocess_executor();
     executor_->run_steps(config_, machines_, outboxes_, spec, round);
   } else {
-    // Resolve once (registry lookup or hosted closure) and share the Step
-    // across threads — std::function invocation is const and race-free.
+    // Resolve once (registry lookup) and share the Step across threads —
+    // std::function invocation is const and race-free.
     const Step step = resolve_step(spec);
     par::parallel_for(
         0, m,

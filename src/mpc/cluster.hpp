@@ -102,24 +102,16 @@ struct CheckpointPolicy {
 };
 
 /// Which substrate executes machine steps. kInProcess simulates every
-/// machine inside this process (threaded over ranks); kMultiProcess forks
-/// one OS worker process per rank per round (src/ipc/) and ships results
-/// back over sockets. The backends are byte-identical: audits, delivery,
-/// and stats all run on the same coordinator-side code path, so the
-/// golden fingerprints and per-channel byte totals never depend on the
-/// choice. See docs/mpc-model.md "The process backend".
+/// machine inside this process (threaded over ranks); kMultiProcess keeps
+/// one persistent OS worker process per rank (src/ipc/) and ships each
+/// round's StepSpec to it. The backends are byte-identical: audits,
+/// delivery, and stats all run on the same coordinator-side code path, so
+/// the golden fingerprints and per-channel byte totals never depend on
+/// the choice. See docs/mpc-model.md "The process backend".
 enum class Backend : std::uint8_t { kInProcess = 0, kMultiProcess = 1 };
 
 /// Knobs for the multi-process backend; ignored under kInProcess.
 struct IpcOptions {
-  /// How workers are provisioned. kPersistent (the default) forks each
-  /// rank once, keeps its LocalStore resident, and ships a kStep frame
-  /// (StepSpec + delivered inbox) down each round — rounds that run a
-  /// hosted closure fall back to fork-per-round transparently.
-  /// kForkPerRound forks every rank every round (the pre-persistent
-  /// behavior; closures and named steps alike inherit state copy-on-write).
-  enum class WorkerMode : std::uint8_t { kForkPerRound = 0, kPersistent = 1 };
-  WorkerMode workers = WorkerMode::kPersistent;
   /// Byte substrate for coordinator<->worker frames. kShmRing (the
   /// default) carries frames over per-worker shared-memory SPSC rings
   /// with large blobs passed by reference through a shared arena; frames
@@ -260,7 +252,7 @@ class RoundExecutor {
   /// Any state workers hold resident (stores shipped across rounds) is no
   /// longer authoritative — the coordinator rewrote its machines out of
   /// band (resume_from, reset_to_start). Persistent backends must tear
-  /// down or resync; the default (and the fork path) has nothing to do.
+  /// down or resync; the default has nothing to do.
   virtual void invalidate_workers() {}
 };
 
@@ -347,16 +339,6 @@ class Cluster {
   /// the model constraints, deliver messages. `label` tags the round in
   /// the stats; empty defaults to the spec's step name.
   void run_round(const StepSpec& spec, std::string label = "");
-
-  /// Closure adapter: wraps `step` into a hosted (unnamed) StepSpec. Fine
-  /// for tests and one-off drivers; under the multi-process backend a
-  /// hosted step always executes via fork-per-round, since a closure
-  /// cannot be shipped to a persistent worker.
-  void run_round(const Step& step, std::string label = "") {
-    StepSpec spec;
-    spec.hosted = step;
-    run_round(spec, std::move(label));
-  }
 
   /// Host-side access to a machine's store. Loading the initial input and
   /// reading the final output happen through this (the model assumes input

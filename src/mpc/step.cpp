@@ -72,8 +72,6 @@ RegisterStep::RegisterStep(const char* name, StepRegistry::Factory factory) {
 }
 
 Step resolve_step(const StepSpec& spec) {
-  if (spec.hosted) return spec.hosted;
-  if (!spec.named()) throw MpteError("resolve_step: empty StepSpec");
   return StepRegistry::global().instantiate(spec.name, spec.params);
 }
 

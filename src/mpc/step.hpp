@@ -1,20 +1,14 @@
 // The named-step program layer.
 //
-// A round's computation used to be only an anonymous host closure
-// (`Step`), which the multi-process backend could not ship to a
-// long-lived worker — it had to fork a fresh child per round to inherit
-// the closure. A `StepSpec` makes the program *nameable*: a stable step
-// name plus an explicitly serialized parameter Buffer, resolved through a
-// process-wide `StepRegistry` of factories. The coordinator can then send
-// the spec down a socket and a persistent worker, which inherited the
-// registry when it forked, rebuilds the identical step on its side.
-//
-// Closures remain first-class: a `StepSpec` may instead carry a `hosted`
-// closure (tests, one-off experiments), which executes on every backend
-// via the fork-per-round fallback. Registration happens in the driver TU
-// that issues the round (static-init `RegisterStep` objects), so linking
-// the driver guarantees its steps resolve — in this process and in every
-// worker forked from it.
+// A round's computation is a `StepSpec`: a stable step name plus an
+// explicitly serialized parameter Buffer, resolved through a process-wide
+// `StepRegistry` of factories into the executable `Step`. The coordinator
+// can therefore send the spec down a socket, and a persistent worker —
+// which inherited the registry when it forked — rebuilds the identical
+// step on its side. Registration happens in the driver TU that issues the
+// round (static-init `RegisterStep` objects), so linking the driver
+// guarantees its steps resolve, in this process and in every worker
+// forked from it.
 #pragma once
 
 #include <cstddef>
@@ -40,19 +34,15 @@ using Step = std::function<void(MachineContext&)>;
 /// materialize slabs — the zero-copy accounting tracks data-plane only.
 using StepParams = std::span<const std::uint8_t>;
 
-/// One round's program: either a registered name + serialized parameters
-/// (shippable to persistent workers) or a hosted closure (executable only
-/// where it was built). Exactly one of the two is meaningful; `named()`
-/// says which.
+/// One round's program: a registered name + serialized parameters, so it
+/// executes identically on every backend.
 struct StepSpec {
-  /// Registered step name, e.g. "shuffle/route". Empty for hosted steps.
+  /// Registered step name, e.g. "shuffle/route".
   std::string name;
   /// Serialized parameters handed to the registered factory. The factory
   /// contract is that (name, params) fully determines the step — nothing
   /// data-dependent may be captured host-side.
   std::vector<std::uint8_t> params;
-  /// Host closure fallback; set iff `name` is empty.
-  Step hosted;
 
   StepSpec() = default;
   StepSpec(std::string step_name, std::vector<std::uint8_t> step_params)
@@ -61,8 +51,6 @@ struct StepSpec {
   StepSpec(std::string step_name, Serializer step_params)
       : name(std::move(step_name)), params(step_params.take()) {}
   explicit StepSpec(std::string step_name) : name(std::move(step_name)) {}
-
-  bool named() const { return !name.empty(); }
 };
 
 /// Process-wide map from step names to factories. Populated at static
@@ -100,8 +88,8 @@ struct RegisterStep {
   RegisterStep(const char* name, StepRegistry::Factory factory);
 };
 
-/// The executable for `spec`: the hosted closure if present, else the
-/// registry instantiation.
+/// The executable for `spec`: the registry instantiation. Throws
+/// MpteError on an unknown name.
 Step resolve_step(const StepSpec& spec);
 
 /// Runs one rank's step and captures its sends: scratch-arena scope,

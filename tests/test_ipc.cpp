@@ -22,6 +22,7 @@
 
 #include "ckpt/manager.hpp"
 #include "ckpt/recovery.hpp"
+#include "common/checksum.hpp"
 #include "core/mpc_embedder.hpp"
 #include "geometry/generators.hpp"
 #include "ipc/frames.hpp"
@@ -41,34 +42,22 @@ std::uint64_t fnv1a(const std::uint8_t* p, std::size_t n, std::uint64_t h) {
   return h;
 }
 
-/// The execution substrates under test. kInProcess ignores the worker
-/// mode and transport; every proc variant must match it byte-for-byte —
-/// including across the transport axis (shm ring vs socketpair), which
-/// only changes how frame bytes travel, never what they decode to.
+/// The execution substrates under test. kInProcess ignores the
+/// transport; every proc variant must match it byte-for-byte — including
+/// across the transport axis (shm ring vs socketpair), which only changes
+/// how frame bytes travel, never what they decode to.
 struct BackendVariant {
   const char* name;
   mpc::Backend backend;
-  mpc::IpcOptions::WorkerMode workers;
   mpc::IpcOptions::Transport transport =
       mpc::IpcOptions::Transport::kShmRing;
 };
 
-constexpr BackendVariant kInprocVariant{
-    "inproc", mpc::Backend::kInProcess,
-    mpc::IpcOptions::WorkerMode::kPersistent};
-constexpr BackendVariant kForkVariant{
-    "proc-fork", mpc::Backend::kMultiProcess,
-    mpc::IpcOptions::WorkerMode::kForkPerRound};
-constexpr BackendVariant kPersistentVariant{
-    "proc-persistent", mpc::Backend::kMultiProcess,
-    mpc::IpcOptions::WorkerMode::kPersistent};
-constexpr BackendVariant kForkSocketpairVariant{
-    "proc-fork-socketpair", mpc::Backend::kMultiProcess,
-    mpc::IpcOptions::WorkerMode::kForkPerRound,
-    mpc::IpcOptions::Transport::kSocketpair};
+constexpr BackendVariant kInprocVariant{"inproc", mpc::Backend::kInProcess};
+constexpr BackendVariant kPersistentVariant{"proc-persistent-shm",
+                                            mpc::Backend::kMultiProcess};
 constexpr BackendVariant kPersistentSocketpairVariant{
     "proc-persistent-socketpair", mpc::Backend::kMultiProcess,
-    mpc::IpcOptions::WorkerMode::kPersistent,
     mpc::IpcOptions::Transport::kSocketpair};
 
 /// The pinned configuration behind the repo-wide golden fingerprint
@@ -81,7 +70,6 @@ mpc::ClusterConfig golden_config(const BackendVariant& variant,
   config.enforce_limits = true;
   config.num_threads = threads;
   config.backend = variant.backend;
-  config.ipc.workers = variant.workers;
   config.ipc.transport = variant.transport;
   return config;
 }
@@ -112,40 +100,11 @@ bool no_children_remain() {
   return r == -1 && errno == ECHILD;
 }
 
-/// A small 3-round pipeline exercising every delta kind: fresh keys,
-/// overwrites, erases, and inbox-dependent writes.
-void run_delta_pipeline(mpc::Cluster& cluster) {
-  const std::size_t m = cluster.num_machines();
-  cluster.run_round(
-      [m](mpc::MachineContext& ctx) {
-        ctx.store().set_vector<std::uint32_t>("val", {ctx.id(), 100});
-        Serializer s;
-        s.write(static_cast<std::uint64_t>(ctx.id() * 7));
-        ctx.send((ctx.id() + 1) % m, std::move(s), "test/ring");
-      },
-      "seed");
-  cluster.run_round(
-      [](mpc::MachineContext& ctx) {
-        // Throw (not gtest-assert): under the proc backend this body runs
-        // in a forked child, where only exceptions surface.
-        if (ctx.inbox().size() != 1) throw MpteError("expected 1 message");
-        ctx.store().set_blob("got", ctx.inbox()[0].payload);
-        if (ctx.id() % 2 == 0) {
-          ctx.store().erase("val");
-        } else {
-          ctx.store().set_vector<std::uint32_t>("val", {ctx.id(), 200});
-        }
-        ctx.store().set_value<std::uint64_t>("extra", ctx.id() + 40);
-      },
-      "mix");
-  cluster.run_round(
-      [](mpc::MachineContext& ctx) { ctx.store().erase("extra"); },
-      "cleanup");
-}
-
-// Named twins of the delta pipeline plus a parameterized ring step,
-// registered once per process: persistent workers resolve these by name
-// from their own StepRegistry instead of inheriting a forked closure.
+// A small 3-round pipeline exercising every delta kind (fresh keys,
+// overwrites, erases, inbox-dependent writes), a parameterized ring
+// step, and the failure steps of the WorkerLoss tests — registered once
+// per process, so the workers resolve them by name from the registry
+// they inherited at fork.
 mpc::Step make_test_seed(mpc::StepParams /*params*/) {
   return [](mpc::MachineContext& ctx) {
     const std::size_t m = ctx.num_machines();
@@ -158,6 +117,8 @@ mpc::Step make_test_seed(mpc::StepParams /*params*/) {
 
 mpc::Step make_test_mix(mpc::StepParams /*params*/) {
   return [](mpc::MachineContext& ctx) {
+    // Throw (not gtest-assert): under the proc backend this body runs in
+    // a worker process, where only exceptions surface.
     if (ctx.inbox().size() != 1) throw MpteError("expected 1 message");
     ctx.store().set_blob("got", ctx.inbox()[0].payload);
     if (ctx.id() % 2 == 0) {
@@ -190,13 +151,39 @@ mpc::Step make_test_ring(mpc::StepParams params) {
   };
 }
 
+mpc::Step make_test_tick(mpc::StepParams /*params*/) {
+  return [](mpc::MachineContext& ctx) {
+    ctx.store().set_value<std::uint64_t>("tick", ctx.id());
+  };
+}
+
+/// Rank 1 outsleeps any test deadline; the others return at once.
+mpc::Step make_test_stall(mpc::StepParams /*params*/) {
+  return [](mpc::MachineContext& ctx) {
+    if (ctx.id() == 1) std::this_thread::sleep_for(std::chrono::seconds(10));
+  };
+}
+
+/// Every rank >= the u64 parameter throws, naming itself.
+mpc::Step make_test_throw_from_rank(mpc::StepParams params) {
+  Deserializer d(params);
+  const auto first = d.read<std::uint64_t>();
+  return [first](mpc::MachineContext& ctx) {
+    if (ctx.id() >= first) {
+      throw MpteError("boom from rank " + std::to_string(ctx.id()));
+    }
+  };
+}
+
 const mpc::RegisterStep kRegTestSeed{"test/seed", make_test_seed};
 const mpc::RegisterStep kRegTestMix{"test/mix", make_test_mix};
 const mpc::RegisterStep kRegTestCleanup{"test/cleanup", make_test_cleanup};
 const mpc::RegisterStep kRegTestRing{"test/ring", make_test_ring};
+const mpc::RegisterStep kRegTestTick{"test/tick", make_test_tick};
+const mpc::RegisterStep kRegTestStall{"test/stall", make_test_stall};
+const mpc::RegisterStep kRegTestThrowFromRank{"test/throw-from-rank",
+                                              make_test_throw_from_rank};
 
-/// The delta pipeline as registered named steps — runnable without fork
-/// fallback on the persistent substrate.
 void run_named_delta_pipeline(mpc::Cluster& cluster) {
   cluster.run_round(mpc::StepSpec("test/seed"), "seed");
   cluster.run_round(mpc::StepSpec("test/mix"), "mix");
@@ -250,7 +237,7 @@ void expect_stores_equal(const mpc::Cluster& a, const mpc::Cluster& b) {
 TEST(BackendEquivalence, GoldenFingerprintAcrossBackendsAndThreads) {
   constexpr std::uint64_t kExpectedHash = 8852295253212578257ull;
   for (const BackendVariant& variant :
-       {kInprocVariant, kForkVariant, kPersistentVariant}) {
+       {kInprocVariant, kPersistentVariant, kPersistentSocketpairVariant}) {
     for (const std::size_t threads : {1u, 8u}) {
       mpc::Cluster cluster(golden_config(variant, threads));
       const auto result = golden_embed(cluster);
@@ -264,28 +251,29 @@ TEST(BackendEquivalence, GoldenFingerprintAcrossBackendsAndThreads) {
 
 TEST(BackendEquivalence, RoundStatsAndChannelBytesIdentical) {
   mpc::Cluster inproc(golden_config(kInprocVariant, 1));
-  mpc::Cluster fork_mode(golden_config(kForkVariant, 8));
-  mpc::Cluster persistent(golden_config(kPersistentVariant, 8));
   ASSERT_TRUE(golden_embed(inproc).ok());
-  ASSERT_TRUE(golden_embed(fork_mode).ok());
-  ASSERT_TRUE(golden_embed(persistent).ok());
-  expect_records_equal(inproc.stats(), fork_mode.stats());
-  expect_records_equal(inproc.stats(), persistent.stats());
-  EXPECT_EQ(inproc.stats().channel_totals(),
-            fork_mode.stats().channel_totals());
-  EXPECT_EQ(inproc.stats().channel_totals(),
-            persistent.stats().channel_totals());
-  expect_stores_equal(inproc, fork_mode);
-  expect_stores_equal(inproc, persistent);
+  for (const BackendVariant& variant :
+       {kInprocVariant, kPersistentVariant, kPersistentSocketpairVariant}) {
+    for (const std::size_t threads : {1u, 8u}) {
+      SCOPED_TRACE(std::string("backend=") + variant.name +
+                   " threads=" + std::to_string(threads));
+      mpc::Cluster cluster(golden_config(variant, threads));
+      ASSERT_TRUE(golden_embed(cluster).ok());
+      expect_records_equal(inproc.stats(), cluster.stats());
+      EXPECT_EQ(inproc.stats().channel_totals(),
+                cluster.stats().channel_totals());
+      expect_stores_equal(inproc, cluster);
+      if (variant.backend == mpc::Backend::kInProcess) continue;
 
-  // The whole embedding pipeline runs as registered named steps: the
-  // persistent pool never fell back to fork-per-round.
-  const auto* backend =
-      dynamic_cast<const ipc::ProcBackend*>(persistent.round_executor());
-  ASSERT_NE(backend, nullptr);
-  EXPECT_EQ(backend->stats().fallback_rounds, 0u);
-  EXPECT_EQ(backend->stats().workers_forked, persistent.num_machines());
-  EXPECT_GT(backend->stats().step_frames_sent, 0u);
+      // One pool spawn for the whole embedding, every round a kStep.
+      const auto* backend =
+          dynamic_cast<const ipc::ProcBackend*>(cluster.round_executor());
+      ASSERT_NE(backend, nullptr);
+      EXPECT_EQ(backend->stats().workers_forked, cluster.num_machines());
+      EXPECT_GT(backend->stats().step_frames_sent, 0u);
+    }
+  }
+  EXPECT_TRUE(no_children_remain());
 }
 
 TEST(BackendEquivalence, SocketpairAndShmTransportsIdentical) {
@@ -352,18 +340,21 @@ TEST(BackendEquivalence, StoreDeltasCoverEraseOverwriteAndFreshKeys) {
   config.num_machines = 5;
   config.local_memory_bytes = 1 << 20;
   mpc::Cluster inproc(config);
+  run_named_delta_pipeline(inproc);
   config.backend = mpc::Backend::kMultiProcess;
-  mpc::Cluster proc(config);
-  run_delta_pipeline(inproc);
-  run_delta_pipeline(proc);
-  expect_stores_equal(inproc, proc);
-  expect_records_equal(inproc.stats(), proc.stats());
-  // Spot-check the deltas actually shrank the wire: round 3 ("cleanup")
-  // erased one key, so its result frames must not re-ship "got"/"val".
-  const auto* backend =
-      dynamic_cast<const ipc::ProcBackend*>(proc.round_executor());
-  ASSERT_NE(backend, nullptr);
-  EXPECT_EQ(backend->stats().rounds, 3u);
+  // Both transports carry the same deltas.
+  for (const auto transport : {mpc::IpcOptions::Transport::kShmRing,
+                               mpc::IpcOptions::Transport::kSocketpair}) {
+    config.ipc.transport = transport;
+    mpc::Cluster proc(config);
+    run_named_delta_pipeline(proc);
+    expect_stores_equal(inproc, proc);
+    expect_records_equal(inproc.stats(), proc.stats());
+    const auto* backend =
+        dynamic_cast<const ipc::ProcBackend*>(proc.round_executor());
+    ASSERT_NE(backend, nullptr);
+    EXPECT_EQ(backend->stats().rounds, 3u);
+  }
   EXPECT_TRUE(no_children_remain());
 }
 
@@ -385,7 +376,6 @@ TEST(PersistentWorkers, NamedPipelineRunsWithoutForkFallback) {
     ASSERT_NE(backend, nullptr);
     const ipc::IpcStats& stats = backend->stats();
     EXPECT_EQ(stats.rounds, 3u);
-    EXPECT_EQ(stats.fallback_rounds, 0u);
     // One pool spawn, not one fork per rank per round.
     EXPECT_EQ(stats.workers_forked, 5u);
     EXPECT_EQ(stats.workers_respawned, 0u);
@@ -436,7 +426,6 @@ TEST(PersistentWorkers, KillMidRunRespawnsPoolAndResyncsStores) {
     EXPECT_EQ(stats.workers_respawned, 4u);
     // Initial spawn + post-kill respawn: two full resyncs per rank.
     EXPECT_EQ(stats.store_resyncs, 8u);
-    EXPECT_EQ(stats.fallback_rounds, 0u);
 
     // Byte-identity with an uninterrupted in-process run.
     mpc::ClusterConfig reference_config;
@@ -622,6 +611,22 @@ TEST(Frames, ResultRoundTripAndCorruptionDetection) {
   ::close(sv[1]);
 }
 
+TEST(Frames, RetiredKindTwoIsRejectedCleanly) {
+  // Kind 2 was the fork-per-round release frame; nothing encodes it now,
+  // and a peer that still sends it gets a typed decode error.
+  Serializer payload;
+  payload.write(static_cast<std::uint32_t>(2));
+  payload.write(static_cast<std::uint64_t>(41));
+  const std::vector<std::uint8_t> envelope =
+      wrap_checksummed(payload.bytes());
+  const auto decoded = ipc::decode_envelope(envelope);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(decoded.status().message().find("unknown kind 2"),
+            std::string::npos)
+      << decoded.status().to_string();
+}
+
 TEST(WorkerLoss, KillMidRoundThrowsTypedErrorAndLeavesNoZombies) {
   mpc::ClusterConfig config;
   config.num_machines = 4;
@@ -631,19 +636,17 @@ TEST(WorkerLoss, KillMidRoundThrowsTypedErrorAndLeavesNoZombies) {
   config.ipc.kill_rank = 2;
   mpc::Cluster cluster(config);
 
-  const auto step = [](mpc::MachineContext& ctx) {
-    ctx.store().set_value<std::uint64_t>("tick", ctx.id());
-  };
-  cluster.run_round(step, "warmup");  // round 0: all workers survive
+  const mpc::StepSpec tick("test/tick");
+  cluster.run_round(tick, "warmup");  // round 0: all workers survive
   try {
-    cluster.run_round(step, "doomed");
+    cluster.run_round(tick, "doomed");
     FAIL() << "expected WorkerLost";
   } catch (const ipc::WorkerLost& lost) {
     EXPECT_EQ(lost.rank(), 2u);
     EXPECT_EQ(lost.round(), 1u);
     EXPECT_EQ(lost.cause(), ipc::WorkerLost::Cause::kDied);
   }
-  // Clean coordinator shutdown: every forked child was reaped.
+  // Clean coordinator shutdown: the whole pool was killed and reaped.
   EXPECT_TRUE(no_children_remain());
   // The failed round mutated nothing and recorded nothing.
   EXPECT_EQ(cluster.stats().rounds(), 1u);
@@ -657,19 +660,22 @@ TEST(WorkerLoss, DeadlineMissSurfacesAsWorkerLost) {
   config.ipc.round_deadline_ms = 150;
   mpc::Cluster cluster(config);
   try {
-    cluster.run_round(
-        [](mpc::MachineContext& ctx) {
-          if (ctx.id() == 1) {
-            std::this_thread::sleep_for(std::chrono::seconds(10));
-          }
-        },
-        "stall");
+    cluster.run_round(mpc::StepSpec("test/stall"), "stall");
     FAIL() << "expected WorkerLost";
   } catch (const ipc::WorkerLost& lost) {
     EXPECT_EQ(lost.rank(), 1u);
+    EXPECT_EQ(lost.round(), 0u);
     EXPECT_EQ(lost.cause(), ipc::WorkerLost::Cause::kDeadline);
   }
+  // The stalled worker was killed with the pool, not left sleeping.
   EXPECT_TRUE(no_children_remain());
+  EXPECT_EQ(cluster.stats().rounds(), 0u);
+}
+
+mpc::StepSpec throw_from_rank_spec(std::uint64_t first) {
+  Serializer s;
+  s.write(first);
+  return mpc::StepSpec("test/throw-from-rank", std::move(s));
 }
 
 TEST(WorkerLoss, StepExceptionPropagatesLikeInProcess) {
@@ -679,17 +685,68 @@ TEST(WorkerLoss, StepExceptionPropagatesLikeInProcess) {
   config.backend = mpc::Backend::kMultiProcess;
   mpc::Cluster cluster(config);
   try {
-    cluster.run_round(
-        [](mpc::MachineContext& ctx) {
-          if (ctx.id() >= 1) {
-            throw MpteError("boom from rank " + std::to_string(ctx.id()));
-          }
-        },
-        "throwing");
+    cluster.run_round(throw_from_rank_spec(1), "throwing");
     FAIL() << "expected MpteError";
+  } catch (const mpc::RankCrashed& crashed) {
+    FAIL() << "a step exception is not a lost worker: " << crashed.what();
   } catch (const MpteError& e) {
     // Lowest failing rank wins, matching serial in-process order.
     EXPECT_STREQ(e.what(), "boom from rank 1");
+  }
+  // kError tears the pool down: no worker outlives the failed round.
+  EXPECT_TRUE(no_children_remain());
+  EXPECT_EQ(cluster.stats().rounds(), 0u);
+}
+
+TEST(PersistentWorkers, UnregisteredStepFailsLikeInProcessAndRespawns) {
+  constexpr std::size_t kRanks = 4;
+  const mpc::StepSpec unknown("test/not-registered");
+  ASSERT_FALSE(mpc::StepRegistry::global().contains(unknown.name));
+
+  mpc::ClusterConfig config;
+  config.num_machines = kRanks;
+  config.local_memory_bytes = 1 << 20;
+  mpc::Cluster inproc(config);
+  std::string inproc_error;
+  inproc.run_round(mpc::StepSpec("test/seed"), "seed");
+  try {
+    inproc.run_round(unknown);
+    FAIL() << "expected MpteError in-process";
+  } catch (const MpteError& e) {
+    inproc_error = e.what();
+  }
+  EXPECT_EQ(inproc.stats().rounds(), 1u);
+
+  config.backend = mpc::Backend::kMultiProcess;
+  {
+    mpc::Cluster proc(config);
+    proc.run_round(mpc::StepSpec("test/seed"), "seed");
+    try {
+      proc.run_round(unknown);
+      FAIL() << "expected MpteError from the workers";
+    } catch (const mpc::RankCrashed& crashed) {
+      FAIL() << "an unknown step is not a lost worker: " << crashed.what();
+    } catch (const MpteError& e) {
+      EXPECT_EQ(std::string(e.what()), inproc_error);
+    }
+    // The failure tore the pool down and recorded nothing.
+    EXPECT_TRUE(no_children_remain());
+    EXPECT_EQ(proc.stats().rounds(), 1u);
+
+    // The next named round respawns the pool, resyncs every store, and
+    // finishes exactly like the in-process run.
+    for (mpc::Cluster* cluster : {&inproc, &proc}) {
+      cluster->run_round(mpc::StepSpec("test/mix"), "mix");
+      cluster->run_round(mpc::StepSpec("test/cleanup"), "cleanup");
+    }
+    const auto* backend =
+        dynamic_cast<const ipc::ProcBackend*>(proc.round_executor());
+    ASSERT_NE(backend, nullptr);
+    EXPECT_EQ(backend->stats().workers_respawned, kRanks);
+    EXPECT_EQ(backend->stats().store_resyncs, 2 * kRanks);
+    EXPECT_EQ(backend->stats().workers_lost, 0u);
+    expect_stores_equal(inproc, proc);
+    expect_records_equal(inproc.stats(), proc.stats());
   }
   EXPECT_TRUE(no_children_remain());
 }
@@ -710,46 +767,31 @@ TEST(Recovery, WorkerLostRestoresFromLatestSnapshot) {
   config.checkpoint.every_k = 1;
   config.ipc.kill_at_round = 2;
   config.ipc.kill_rank = 1;
-  mpc::Cluster cluster(config);
-  ckpt::Coordinator coordinator = ckpt::Coordinator::for_cluster(cluster);
-  cluster.set_hooks(&coordinator);
+  {
+    mpc::Cluster cluster(config);
+    ckpt::Coordinator coordinator = ckpt::Coordinator::for_cluster(cluster);
+    cluster.set_hooks(&coordinator);
 
-  const auto pipeline = [](mpc::Cluster& c) {
-    const std::size_t m = c.num_machines();
-    for (std::size_t r = 0; r < 5; ++r) {
-      c.run_round(
-          [r, m](mpc::MachineContext& ctx) {
-            std::uint64_t acc = r;
-            for (const auto& msg : ctx.inbox()) acc += msg.payload.size();
-            ctx.store().set_value<std::uint64_t>(
-                "acc/" + std::to_string(r), acc + ctx.id());
-            Serializer s;
-            for (std::size_t i = 0; i <= r; ++i) {
-              s.write(static_cast<std::uint64_t>(ctx.id() + i));
-            }
-            ctx.send((ctx.id() + 1) % m, std::move(s), "test/ring");
-          },
-          "ring/" + std::to_string(r));
-    }
-    return Status::Ok();
-  };
+    const Status done = ckpt::run_with_recovery(cluster, coordinator, [&] {
+      run_ring_pipeline(cluster, 5);
+      return Status::Ok();
+    });
+    ASSERT_TRUE(done.ok()) << done.to_string();
+    EXPECT_GE(cluster.stats().resilience().recoveries, 1u);
+    EXPECT_GE(cluster.stats().resilience().rounds_replayed, 1u);
 
-  const Status done = ckpt::run_with_recovery(cluster, coordinator,
-                                              [&] { return pipeline(cluster); });
-  ASSERT_TRUE(done.ok()) << done.to_string();
-  EXPECT_GE(cluster.stats().resilience().recoveries, 1u);
-  EXPECT_GE(cluster.stats().resilience().rounds_replayed, 1u);
+    // The recovered run must match an uninterrupted in-process reference.
+    mpc::ClusterConfig reference_config;
+    reference_config.num_machines = 4;
+    reference_config.local_memory_bytes = 1 << 20;
+    mpc::Cluster reference(reference_config);
+    run_ring_pipeline(reference, 5);
+    expect_stores_equal(reference, cluster);
+    EXPECT_EQ(reference.stats().channel_totals(),
+              cluster.stats().channel_totals());
+  }
+  // ~Cluster shut the respawned pool down: no zombies.
   EXPECT_TRUE(no_children_remain());
-
-  // The recovered run must match an uninterrupted in-process reference.
-  mpc::ClusterConfig reference_config;
-  reference_config.num_machines = 4;
-  reference_config.local_memory_bytes = 1 << 20;
-  mpc::Cluster reference(reference_config);
-  ASSERT_TRUE(pipeline(reference).ok());
-  expect_stores_equal(reference, cluster);
-  EXPECT_EQ(reference.stats().channel_totals(),
-            cluster.stats().channel_totals());
 
   std::filesystem::remove_all(dir);
 }
@@ -760,36 +802,37 @@ TEST(Metrics, TransportCountersExportUnderIpcNames) {
   config.local_memory_bytes = 1 << 20;
   config.backend = mpc::Backend::kMultiProcess;
   mpc::Cluster cluster(config);
-  run_delta_pipeline(cluster);
+  run_named_delta_pipeline(cluster);
 
   const auto* backend =
       dynamic_cast<const ipc::ProcBackend*>(cluster.round_executor());
   ASSERT_NE(backend, nullptr);
   const ipc::IpcStats& stats = backend->stats();
   EXPECT_EQ(stats.rounds, 3u);
-  EXPECT_EQ(stats.workers_forked, 9u);
+  // One pool of M workers serves every round: M kStep frames out and M
+  // result frames back per round, one full store resync per worker.
+  EXPECT_EQ(stats.workers_forked, 3u);
+  EXPECT_EQ(stats.step_frames_sent, 9u);
   EXPECT_EQ(stats.frames_received, 9u);
+  EXPECT_EQ(stats.store_resyncs, 3u);
+  EXPECT_EQ(stats.workers_respawned, 0u);
   EXPECT_EQ(stats.workers_lost, 0u);
+  EXPECT_GT(stats.step_wire_bytes, 0u);
   EXPECT_GT(stats.result_wire_bytes, 0u);
-  EXPECT_GT(stats.commit_wire_bytes, 0u);
   EXPECT_GT(stats.store_delta_bytes, 0u);
   EXPECT_GT(stats.fragment_bytes, 0u);
-  // Hosted closures cannot ship to a persistent worker: every round fell
-  // back to fork-per-round, and the pool was never spawned.
-  EXPECT_EQ(stats.fallback_rounds, 3u);
-  EXPECT_EQ(stats.step_frames_sent, 0u);
-  EXPECT_EQ(stats.workers_respawned, 0u);
-  EXPECT_EQ(stats.store_resyncs, 0u);
 
   obs::Registry registry;
   backend->export_metrics(registry);
   EXPECT_EQ(registry.counter_value("mpte_ipc_rounds_total"), stats.rounds);
   EXPECT_EQ(registry.counter_value("mpte_ipc_workers_forked_total"),
             stats.workers_forked);
+  EXPECT_EQ(registry.counter_value("mpte_ipc_step_frames_sent_total"),
+            stats.step_frames_sent);
+  EXPECT_EQ(registry.counter_value("mpte_ipc_store_resyncs_total"),
+            stats.store_resyncs);
   EXPECT_EQ(registry.counter_value("mpte_ipc_result_wire_bytes_total"),
             stats.result_wire_bytes);
-  EXPECT_EQ(registry.counter_value("mpte_ipc_fallback_rounds_total"),
-            stats.fallback_rounds);
   const std::string prom = registry.prometheus_text();
   EXPECT_NE(prom.find("mpte_ipc_barrier_seconds"), std::string::npos);
 }

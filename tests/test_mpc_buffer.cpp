@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "closure_step.hpp"
 #include "mpc/machine.hpp"
 #include "mpc/primitives.hpp"
 
@@ -201,9 +202,9 @@ TEST(BroadcastZeroCopy, SelfSendSharesTheSlab) {
   Cluster cluster(ClusterConfig{2, 1 << 16, true});
   cluster.store(0).set_blob("x", std::vector<std::uint8_t>(256, 1));
   Buffer::reset_counters();
-  cluster.run_round([&](MachineContext& ctx) {
+  cluster.run_round(closure_step([&](MachineContext& ctx) {
     if (ctx.id() == 0) ctx.send(0, ctx.store().blob("x"));
-  });
+  }));
   EXPECT_EQ(Buffer::slabs_created(), 0u);
   ASSERT_EQ(cluster.store(0).resident_bytes(), 256u);
 }

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-
+#include "closure_step.hpp"
 #include "core/mpc_embedder.hpp"
 #include "geometry/generators.hpp"
 #include "mpc/primitives.hpp"
@@ -45,40 +45,40 @@ TEST(TypedKeys, ValueRoundTrip) {
 TEST(TypedChannel, BatchSendReceive) {
   Cluster cluster(ClusterConfig{3, 1 << 16, true});
   const Channel<Record> ch{"recs"};
-  cluster.run_round([&](MachineContext& ctx) {
+  cluster.run_round(closure_step([&](MachineContext& ctx) {
     // Every machine sends two batches to rank 0 (they concatenate into
     // one message; the length prefixes keep them separable).
     ch.send(ctx, 0, std::vector<Record>{{ctx.id(), 1.0}});
     ch.send(ctx, 0, std::vector<Record>{{ctx.id() + 10u, 2.0}});
-  });
-  cluster.run_round([&](MachineContext& ctx) {
+  }));
+  cluster.run_round(closure_step([&](MachineContext& ctx) {
     if (ctx.id() != 0) return;
     const auto records = ch.receive(ctx);
     // Source rank order, batches in send order within each source.
     const std::vector<Record> expected{{0, 1.0}, {10, 2.0}, {1, 1.0},
                                        {11, 2.0}, {2, 1.0}, {12, 2.0}};
     EXPECT_EQ(records, expected);
-  });
+  }));
 }
 
 TEST(TypedChannel, RawSendReceive) {
   Cluster cluster(ClusterConfig{4, 1 << 16, true});
   const Channel<std::uint64_t> ch{"ints"};
-  cluster.run_round([&](MachineContext& ctx) {
+  cluster.run_round(closure_step([&](MachineContext& ctx) {
     ch.send_one(ctx, 0, std::uint64_t{100} + ctx.id());
-  });
-  cluster.run_round([&](MachineContext& ctx) {
+  }));
+  cluster.run_round(closure_step([&](MachineContext& ctx) {
     if (ctx.id() != 0) return;
     EXPECT_EQ(ch.receive_raw(ctx),
               (std::vector<std::uint64_t>{100, 101, 102, 103}));
-  });
+  }));
 }
 
 TEST(TypedChannel, RawSendCostsExactlySizeofT) {
   Cluster cluster(ClusterConfig{2, 1 << 16, true});
   const Channel<std::uint64_t> ch{"ints"};
-  cluster.run_round(
-      [&](MachineContext& ctx) { ch.send_one(ctx, 0, ctx.id()); });
+  cluster.run_round(closure_step(
+      [&](MachineContext& ctx) { ch.send_one(ctx, 0, ctx.id()); }));
   EXPECT_EQ(cluster.stats().records()[0].total_message_bytes,
             2 * sizeof(std::uint64_t));
 }
@@ -87,15 +87,16 @@ TEST(ChannelStats, PerChannelBytesSumToRoundTotals) {
   Cluster cluster(ClusterConfig{4, 1 << 16, true});
   const Channel<std::uint64_t> a{"stream-a"};
   const Channel<Record> b{"stream-b"};
-  cluster.run_round([&](MachineContext& ctx) {
+  cluster.run_round(closure_step([&](MachineContext& ctx) {
     a.send(ctx, (ctx.id() + 1) % 4,
            std::vector<std::uint64_t>(ctx.id() + 1, 7));
     b.send_one(ctx, 0, Record{ctx.id(), 1.0});
     if (ctx.id() == 2) {
       ctx.send(3, std::vector<std::uint8_t>(13));  // untyped raw bytes
     }
-  });
-  cluster.run_round([](MachineContext&) {});  // drains inboxes, no sends
+  }));
+  // Drains inboxes, no sends.
+  cluster.run_round(closure_step([](MachineContext&) {}));
 
   for (const RoundRecord& record : cluster.stats().records()) {
     std::size_t channel_sum = 0;
@@ -150,15 +151,15 @@ TEST(Violations, EnforcementOffStillRecordsBreaches) {
   // stats must record every breach: 1 send + 1 receive + 1 residency.
   ClusterConfig config{2, 64, /*enforce_limits=*/false};
   Cluster cluster(config);
-  cluster.run_round([&](MachineContext& ctx) {
+  cluster.run_round(closure_step([&](MachineContext& ctx) {
     if (ctx.id() == 0) ctx.send(1, std::vector<std::uint8_t>(128));
-  });
+  }));
   ASSERT_EQ(cluster.stats().rounds(), 1u);
   EXPECT_EQ(cluster.stats().records()[0].violations, 3u);
   EXPECT_EQ(cluster.stats().total_violations(), 3u);
 
   // A quiet round adds no violations.
-  cluster.run_round([](MachineContext&) {});
+  cluster.run_round(closure_step([](MachineContext&) {}));
   EXPECT_EQ(cluster.stats().records()[1].violations, 0u);
   EXPECT_EQ(cluster.stats().total_violations(), 3u);
 
@@ -169,9 +170,9 @@ TEST(Violations, EnforcementOffStillRecordsBreaches) {
 
 TEST(Violations, EnforcementOnStillThrows) {
   Cluster cluster(ClusterConfig{2, 64, /*enforce_limits=*/true});
-  EXPECT_THROW(cluster.run_round([&](MachineContext& ctx) {
+  EXPECT_THROW(cluster.run_round(closure_step([&](MachineContext& ctx) {
     if (ctx.id() == 0) ctx.send(1, std::vector<std::uint8_t>(128));
-  }),
+  })),
                MpcViolation);
   // The failed round is not recorded.
   EXPECT_EQ(cluster.stats().rounds(), 0u);

@@ -4,6 +4,8 @@
 
 #include <numeric>
 
+#include "closure_step.hpp"
+
 namespace mpte::mpc {
 namespace {
 
@@ -51,13 +53,13 @@ TEST(Cluster, ZeroMachinesThrows) {
 
 TEST(Cluster, RoundDeliversMessages) {
   Cluster cluster(small_config());
-  cluster.run_round([](MachineContext& ctx) {
+  cluster.run_round(closure_step([](MachineContext& ctx) {
     // Everyone sends its rank to machine 0.
     Serializer s;
     s.write<std::uint32_t>(ctx.id());
     ctx.send(0, std::move(s));
-  });
-  cluster.run_round([](MachineContext& ctx) {
+  }));
+  cluster.run_round(closure_step([](MachineContext& ctx) {
     if (ctx.id() != 0) {
       EXPECT_TRUE(ctx.inbox().empty());
       return;
@@ -68,81 +70,81 @@ TEST(Cluster, RoundDeliversMessages) {
       sum += d.read<std::uint32_t>();
     }
     EXPECT_EQ(sum, 0u + 1 + 2 + 3);
-  });
+  }));
   EXPECT_EQ(cluster.stats().rounds(), 2u);
 }
 
 TEST(Cluster, InboxOrderedBySourceRank) {
   Cluster cluster(small_config(6));
-  cluster.run_round([](MachineContext& ctx) {
+  cluster.run_round(closure_step([](MachineContext& ctx) {
     Serializer s;
     s.write<std::uint32_t>(ctx.id());
     ctx.send(2, std::move(s));
-  });
-  cluster.run_round([](MachineContext& ctx) {
+  }));
+  cluster.run_round(closure_step([](MachineContext& ctx) {
     if (ctx.id() != 2) return;
     ASSERT_EQ(ctx.inbox().size(), 6u);
     for (std::size_t i = 0; i < 6; ++i) {
       EXPECT_EQ(ctx.inbox()[i].from, i);
     }
-  });
+  }));
 }
 
 TEST(Cluster, InboxClearedNextRound) {
   Cluster cluster(small_config());
-  cluster.run_round([](MachineContext& ctx) {
+  cluster.run_round(closure_step([](MachineContext& ctx) {
     ctx.send(1, std::vector<std::uint8_t>{1, 2, 3});
-  });
-  cluster.run_round([](MachineContext& ctx) {
+  }));
+  cluster.run_round(closure_step([](MachineContext& ctx) {
     if (ctx.id() == 1) {
       EXPECT_FALSE(ctx.inbox().empty());
     }
-  });
-  cluster.run_round([](MachineContext& ctx) {
+  }));
+  cluster.run_round(closure_step([](MachineContext& ctx) {
     EXPECT_TRUE(ctx.inbox().empty());  // nothing sent last round
-  });
+  }));
 }
 
 TEST(Cluster, SendQuotaEnforced) {
   Cluster cluster(small_config(4, 128));
-  EXPECT_THROW(cluster.run_round([](MachineContext& ctx) {
+  EXPECT_THROW(cluster.run_round(closure_step([](MachineContext& ctx) {
     if (ctx.id() == 0) {
       ctx.send(1, std::vector<std::uint8_t>(200));  // > 128B local memory
     }
-  }),
+  })),
                MpcViolation);
 }
 
 TEST(Cluster, ReceiveQuotaEnforced) {
   Cluster cluster(small_config(4, 128));
   // Each sender is under quota (50B) but the receiver gets 150B.
-  EXPECT_THROW(cluster.run_round([](MachineContext& ctx) {
+  EXPECT_THROW(cluster.run_round(closure_step([](MachineContext& ctx) {
     if (ctx.id() != 3) ctx.send(3, std::vector<std::uint8_t>(50));
-  }),
+  })),
                MpcViolation);
 }
 
 TEST(Cluster, ResidencyQuotaEnforced) {
   Cluster cluster(small_config(2, 128));
-  EXPECT_THROW(cluster.run_round([](MachineContext& ctx) {
+  EXPECT_THROW(cluster.run_round(closure_step([](MachineContext& ctx) {
     ctx.store().set_blob("big", std::vector<std::uint8_t>(256));
-  }),
+  })),
                MpcViolation);
 }
 
 TEST(Cluster, EnforcementCanBeDisabled) {
   Cluster cluster(ClusterConfig{2, 64, false});
-  cluster.run_round([](MachineContext& ctx) {
+  cluster.run_round(closure_step([](MachineContext& ctx) {
     ctx.store().set_blob("big", std::vector<std::uint8_t>(1024));
-  });
+  }));
   EXPECT_EQ(cluster.stats().peak_local_bytes(), 1024u);
 }
 
 TEST(Cluster, StatsTrackPeaks) {
   Cluster cluster(small_config(3, 4096));
-  cluster.run_round([](MachineContext& ctx) {
+  cluster.run_round(closure_step([](MachineContext& ctx) {
     if (ctx.id() == 0) ctx.send(1, std::vector<std::uint8_t>(300));
-  });
+  }));
   EXPECT_EQ(cluster.stats().records()[0].max_sent_bytes, 300u);
   EXPECT_EQ(cluster.stats().records()[0].max_recv_bytes, 300u);
   EXPECT_EQ(cluster.stats().records()[0].total_message_bytes, 300u);
@@ -151,15 +153,15 @@ TEST(Cluster, StatsTrackPeaks) {
 
 TEST(Cluster, OutOfRangeDestinationThrows) {
   Cluster cluster(small_config(2));
-  EXPECT_THROW(cluster.run_round([](MachineContext& ctx) {
+  EXPECT_THROW(cluster.run_round(closure_step([](MachineContext& ctx) {
     ctx.send(7, std::vector<std::uint8_t>(1));
-  }),
+  })),
                MpcViolation);
 }
 
 TEST(Cluster, MultipleSendsConcatenate) {
   Cluster cluster(small_config());
-  cluster.run_round([](MachineContext& ctx) {
+  cluster.run_round(closure_step([](MachineContext& ctx) {
     if (ctx.id() == 0) {
       Serializer a;
       a.write<std::uint32_t>(1);
@@ -168,14 +170,14 @@ TEST(Cluster, MultipleSendsConcatenate) {
       b.write<std::uint32_t>(2);
       ctx.send(1, std::move(b));
     }
-  });
-  cluster.run_round([](MachineContext& ctx) {
+  }));
+  cluster.run_round(closure_step([](MachineContext& ctx) {
     if (ctx.id() != 1) return;
     ASSERT_EQ(ctx.inbox().size(), 1u);  // one message per sender
     Deserializer d(ctx.inbox().front().payload);
     EXPECT_EQ(d.read<std::uint32_t>(), 1u);
     EXPECT_EQ(d.read<std::uint32_t>(), 2u);
-  });
+  }));
 }
 
 TEST(LocalMemoryForInput, PowerLawAndFloor) {
@@ -186,7 +188,7 @@ TEST(LocalMemoryForInput, PowerLawAndFloor) {
 
 TEST(RoundStats, SummaryMentionsRounds) {
   Cluster cluster(small_config());
-  cluster.run_round([](MachineContext&) {}, "noop");
+  cluster.run_round(closure_step([](MachineContext&) {}), "noop");
   const std::string summary = cluster.stats().summary();
   EXPECT_NE(summary.find("rounds=1"), std::string::npos);
   EXPECT_NE(summary.find("noop"), std::string::npos);

@@ -3,6 +3,7 @@
 // layer that can breach it — primitives, pipelines, applications.
 #include <gtest/gtest.h>
 
+#include "closure_step.hpp"
 #include "core/mpc_embedder.hpp"
 #include "geometry/generators.hpp"
 #include "mpc/primitives.hpp"
@@ -13,29 +14,29 @@ namespace {
 
 TEST(Violations, SendExactlyAtCapIsAllowed) {
   Cluster cluster(ClusterConfig{2, 128, true});
-  cluster.run_round([](MachineContext& ctx) {
+  cluster.run_round(closure_step([](MachineContext& ctx) {
     if (ctx.id() == 0) ctx.send(1, std::vector<std::uint8_t>(128));
-  });
+  }));
   EXPECT_EQ(cluster.stats().records()[0].max_sent_bytes, 128u);
 }
 
 TEST(Violations, SendOneByteOverCapThrows) {
   Cluster cluster(ClusterConfig{2, 128, true});
-  EXPECT_THROW(cluster.run_round([](MachineContext& ctx) {
+  EXPECT_THROW(cluster.run_round(closure_step([](MachineContext& ctx) {
     if (ctx.id() == 0) ctx.send(1, std::vector<std::uint8_t>(129));
-  }),
+  })),
                MpcViolation);
 }
 
 TEST(Violations, AggregateSendsCountAgainstQuota) {
   // Two sends of 70B to different destinations = 140B sent > 128B cap.
   Cluster cluster(ClusterConfig{3, 128, true});
-  EXPECT_THROW(cluster.run_round([](MachineContext& ctx) {
+  EXPECT_THROW(cluster.run_round(closure_step([](MachineContext& ctx) {
     if (ctx.id() == 0) {
       ctx.send(1, std::vector<std::uint8_t>(70));
       ctx.send(2, std::vector<std::uint8_t>(70));
     }
-  }),
+  })),
                MpcViolation);
 }
 
@@ -43,14 +44,14 @@ TEST(Violations, InboxCountsTowardResidency) {
   // Store is fine, message is fine, but store + inbox crosses the cap at
   // the round boundary.
   Cluster cluster(ClusterConfig{2, 128, true});
-  cluster.run_round([](MachineContext& ctx) {
+  cluster.run_round(closure_step([](MachineContext& ctx) {
     if (ctx.id() == 1) {
       ctx.store().set_blob("held", std::vector<std::uint8_t>(100));
     }
-  });
-  EXPECT_THROW(cluster.run_round([](MachineContext& ctx) {
+  }));
+  EXPECT_THROW(cluster.run_round(closure_step([](MachineContext& ctx) {
     if (ctx.id() == 0) ctx.send(1, std::vector<std::uint8_t>(100));
-  }),
+  })),
                MpcViolation);
 }
 
@@ -58,9 +59,9 @@ TEST(Violations, ViolationMessageNamesRoundAndMachine) {
   Cluster cluster(ClusterConfig{2, 64, true});
   try {
     cluster.run_round(
-        [](MachineContext& ctx) {
+        closure_step([](MachineContext& ctx) {
           if (ctx.id() == 1) ctx.send(0, std::vector<std::uint8_t>(100));
-        },
+        }),
         "my-round");
     FAIL() << "expected MpcViolation";
   } catch (const MpcViolation& e) {
@@ -98,9 +99,9 @@ TEST(Violations, EmbedderSurfacesViolationWhenClusterTooSmall) {
 
 TEST(Violations, DisabledEnforcementRecordsInsteadOfThrowing) {
   Cluster cluster(ClusterConfig{2, 64, false});
-  cluster.run_round([](MachineContext& ctx) {
+  cluster.run_round(closure_step([](MachineContext& ctx) {
     if (ctx.id() == 0) ctx.send(1, std::vector<std::uint8_t>(1000));
-  });
+  }));
   EXPECT_EQ(cluster.stats().peak_round_io_bytes(), 1000u);
 }
 

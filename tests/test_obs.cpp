@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "closure_step.hpp"
 #include "core/mpc_embedder.hpp"
 #include "geometry/generators.hpp"
 #include "obs/metrics.hpp"
@@ -295,11 +296,11 @@ TEST(Registry, LabelValuesAreEscaped) {
 TEST(Exporters, RoundStatsSummaryAndMetricsAgree) {
   mpc::Cluster cluster(mpc::ClusterConfig{4, 1 << 16, true});
   cluster.run_round(
-      [](mpc::MachineContext& ctx) {
+      closure_step([](mpc::MachineContext& ctx) {
         ctx.send((ctx.id() + 1) % 4, std::vector<std::uint8_t>(64));
-      },
+      }),
       "ring");
-  cluster.run_round([](mpc::MachineContext&) {}, "drain");
+  cluster.run_round(closure_step([](mpc::MachineContext&) {}), "drain");
 
   Registry registry;
   cluster.stats().export_metrics(&registry);
@@ -357,9 +358,9 @@ TEST(ProfilingHooks, AttributesEveryRoundAndForwardsToInner) {
   ProfilingHooks hooks(&inner);
   mpc::Cluster cluster(mpc::ClusterConfig{2, 1 << 16, true});
   cluster.set_hooks(&hooks);
-  cluster.run_round([](mpc::MachineContext&) {}, "alpha");
-  cluster.run_round([](mpc::MachineContext&) {}, "alpha");
-  cluster.run_round([](mpc::MachineContext&) {}, "beta");
+  cluster.run_round(closure_step([](mpc::MachineContext&) {}), "alpha");
+  cluster.run_round(closure_step([](mpc::MachineContext&) {}), "alpha");
+  cluster.run_round(closure_step([](mpc::MachineContext&) {}), "beta");
 
   EXPECT_EQ(inner.committed, 3u);
   EXPECT_EQ(hooks.totals().rounds, 3u);

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "closure_step.hpp"
 #include "common/status.hpp"
 #include "core/mpc_embedder.hpp"
 #include "geometry/generators.hpp"
@@ -237,9 +238,9 @@ TEST(ParallelDeterminism, StepExceptionPropagatesFromThreadedRound) {
   config.num_machines = 8;
   config.num_threads = 4;
   mpc::Cluster cluster(config);
-  EXPECT_THROW(cluster.run_round([](mpc::MachineContext& ctx) {
+  EXPECT_THROW(cluster.run_round(closure_step([](mpc::MachineContext& ctx) {
     if (ctx.id() == 3) throw MpteError("machine 3 step failure");
-  }),
+  })),
                MpteError);
 }
 

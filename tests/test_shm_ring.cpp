@@ -163,7 +163,11 @@ TEST(ShmRing, CorruptedEnvelopeOnRingIsRejectedByDecode) {
   auto f = RingFixture::make(1u << 12);
   // Hand-roll the channel's frame-on-ring protocol: u64 length marker,
   // then the checksummed envelope bytes.
-  const mpc::Buffer encoded = encode_commit(41);
+  ErrorFrame error;
+  error.rank = 1;
+  error.round = 41;
+  error.message = "boom";
+  const mpc::Buffer encoded = encode_error(error);
   const std::uint64_t marker = encoded.size();
   ASSERT_TRUE(f.producer
                   .write({reinterpret_cast<const std::uint8_t*>(&marker),
@@ -194,7 +198,7 @@ TEST(ShmRing, CorruptedEnvelopeOnRingIsRejectedByDecode) {
   envelope[kEnvelopeHeaderBytes] ^= 0x40;
   const auto fixed = decode_envelope({envelope.data(), envelope.size()});
   ASSERT_TRUE(fixed.ok()) << fixed.status().to_string();
-  EXPECT_EQ(fixed->kind, FrameKind::kCommit);
+  EXPECT_EQ(fixed->kind, FrameKind::kError);
   EXPECT_EQ(fixed->round, 41u);
 }
 

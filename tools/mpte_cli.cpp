@@ -53,20 +53,24 @@
 //       epochs advance monotonically. --shutdown stops the server
 //       afterwards.
 //
-// Exit codes: 0 success, 1 usage (incl. unknown subcommands), 2 runtime
-// failure (including the Theorem-1 coverage-failure report and
-// bench-client runs that saw any error response), 3 injected crash
-// (`embed ... --crash-at`), leaving a resumable checkpoint directory.
+// Exit codes: 0 success, 1 usage (incl. unknown subcommands and flags the
+// subcommand does not read), 2 runtime failure (including the Theorem-1
+// coverage-failure report and bench-client runs that saw any error
+// response), 3 injected crash (`embed ... --crash-at`), leaving a
+// resumable checkpoint directory.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -105,8 +109,7 @@ int usage() {
                "            [--checkpoint-dir D] [--every K] [--crash-at R] "
                "(mpc only)\n"
                "            [--backend inproc|proc] [--ranks M] "
-               "[--workers persistent|fork]\n"
-               "            [--transport shm|socketpair] (mpc only)\n"
+               "[--transport shm|socketpair] (mpc only)\n"
                "            [--trace-out FILE] [--metrics-out FILE]\n"
                "  mpte_cli resume <checkpoint-dir> [--trace-out FILE] "
                "[--metrics-out FILE]\n"
@@ -132,8 +135,8 @@ int usage() {
 }
 
 /// Parses "--flag value" and "--flag=value" forms after `from`; returns
-/// false (usage error) on an unknown flag or missing value. Positional
-/// arguments (no leading --) are collected into `positional`.
+/// false (usage error) on a missing value. Positional arguments (no
+/// leading --) are collected into `positional`.
 bool parse_flags(int argc, char** argv, int from,
                  std::vector<std::string>* positional,
                  std::vector<std::pair<std::string, std::string>>* flags) {
@@ -156,6 +159,31 @@ bool parse_flags(int argc, char** argv, int from,
     flags->emplace_back(arg, argv[++i]);
   }
   return true;
+}
+
+/// True if every parsed flag is one `command` reads; otherwise names the
+/// first stray one, so a misspelled or retired flag fails loudly (usage,
+/// exit 1) instead of being silently ignored.
+bool known_flags(
+    const char* command,
+    const std::vector<std::pair<std::string, std::string>>& flags,
+    std::initializer_list<std::string_view> known) {
+  for (const auto& [flag, value] : flags) {
+    if (std::find(known.begin(), known.end(), flag) == known.end()) {
+      std::fprintf(stderr, "%s: unexpected flag '%s'\n", command,
+                   flag.c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
+/// For the subcommands that read no flags at all.
+bool no_flags(const char* command, int argc, char** argv) {
+  std::vector<std::string> positional;
+  std::vector<std::pair<std::string, std::string>> flags;
+  return parse_flags(argc, argv, 2, &positional, &flags) &&
+         known_flags(command, flags, {});
 }
 
 std::string flag_value(
@@ -224,7 +252,7 @@ int write_obs_artifacts(const ObsOutputs& outputs, Fill&& fill) {
 }
 
 int cmd_generate(int argc, char** argv) {
-  if (argc < 6) return usage();
+  if (argc < 6 || !no_flags("generate", argc, argv)) return usage();
   const auto n = static_cast<std::size_t>(std::atoll(argv[2]));
   const auto dim = static_cast<std::size_t>(std::atoll(argv[3]));
   const std::string kind = argv[4];
@@ -276,20 +304,6 @@ Result<mpc::Backend> parse_backend(const std::string& name) {
                 "unknown --backend '" + name + "' (want inproc|proc)");
 }
 
-const char* workers_name(mpc::IpcOptions::WorkerMode workers) {
-  return workers == mpc::IpcOptions::WorkerMode::kForkPerRound ? "fork"
-                                                               : "persistent";
-}
-
-/// Parses --workers; only meaningful with --backend proc but always
-/// accepted (ignored under inproc, like the rest of IpcOptions).
-Result<mpc::IpcOptions::WorkerMode> parse_workers(const std::string& name) {
-  if (name == "persistent") return mpc::IpcOptions::WorkerMode::kPersistent;
-  if (name == "fork") return mpc::IpcOptions::WorkerMode::kForkPerRound;
-  return Status(StatusCode::kInvalidArgument,
-                "unknown --workers '" + name + "' (want persistent|fork)");
-}
-
 const char* transport_name(mpc::IpcOptions::Transport transport) {
   return transport == mpc::IpcOptions::Transport::kSocketpair ? "socketpair"
                                                               : "shm";
@@ -320,8 +334,6 @@ struct CkptManifest {
   /// cluster (the fingerprint depends on the rank count).
   mpc::Backend backend = mpc::Backend::kInProcess;
   std::size_t ranks = 8;
-  mpc::IpcOptions::WorkerMode workers =
-      mpc::IpcOptions::WorkerMode::kPersistent;
   mpc::IpcOptions::Transport transport = mpc::IpcOptions::Transport::kShmRing;
   /// Comma-joined round labels committed before a crash. Written when an
   /// embed run dies so resume can check that the re-driven pipeline
@@ -337,7 +349,6 @@ Status write_manifest(const std::string& dir, const CkptManifest& manifest) {
       << "every=" << manifest.every << "\n"
       << "backend=" << backend_name(manifest.backend) << "\n"
       << "ranks=" << manifest.ranks << "\n"
-      << "workers=" << workers_name(manifest.workers) << "\n"
       << "transport=" << transport_name(manifest.transport) << "\n";
   if (!manifest.program.empty()) {
     out << "program=" << manifest.program << "\n";
@@ -379,10 +390,8 @@ Result<CkptManifest> read_manifest(const std::string& dir) {
       manifest.ranks = std::max<std::size_t>(
           1, static_cast<std::size_t>(std::atoll(value.c_str())));
     }
-    if (key == "workers") {
-      const auto workers = parse_workers(value);
-      if (workers.ok()) manifest.workers = *workers;
-    }
+    // A legacy "workers=" line (any value) is ignored: every worker mode
+    // wrote byte-identical snapshots, so it never changes the resume.
     if (key == "transport") {
       const auto transport = parse_transport(value);
       if (transport.ok()) manifest.transport = *transport;
@@ -451,14 +460,12 @@ int cmd_embed_mpc(const PointSet& points, const std::string& in_path,
                   const std::string& out_path, std::uint64_t seed,
                   const std::string& checkpoint_dir, std::size_t every,
                   long long crash_at, mpc::Backend backend,
-                  std::size_t ranks, mpc::IpcOptions::WorkerMode workers,
-                  mpc::IpcOptions::Transport transport,
+                  std::size_t ranks, mpc::IpcOptions::Transport transport,
                   const ObsOutputs& outputs) {
   arm_tracer(outputs);
   const std::size_t input_bytes =
       points.size() * std::max<std::size_t>(points.dim(), 1) * sizeof(double);
   mpc::ClusterConfig config = mpc_cli_config(input_bytes, backend, ranks);
-  config.ipc.workers = workers;
   config.ipc.transport = transport;
   if (!checkpoint_dir.empty()) {
     config.checkpoint.mode = mpc::CheckpointPolicy::Mode::kEveryK;
@@ -480,9 +487,8 @@ int cmd_embed_mpc(const PointSet& points, const std::string& in_path,
     // Written before the run so a killed process leaves a resumable dir.
     std::error_code ec;
     std::filesystem::create_directories(checkpoint_dir, ec);
-    CkptManifest manifest{in_path,   out_path, seed,
-                          every,     backend,  ranks,
-                          workers,   transport, /*program=*/""};
+    CkptManifest manifest{in_path, out_path, seed,      every,
+                          backend, ranks,    transport, /*program=*/""};
     const Status wrote = write_manifest(checkpoint_dir, manifest);
     if (!wrote.ok()) {
       std::fprintf(stderr, "mpc embed: %s\n", wrote.to_string().c_str());
@@ -519,8 +525,7 @@ int cmd_embed_mpc(const PointSet& points, const std::string& in_path,
         program += record.label;
       }
       CkptManifest manifest{in_path, out_path, seed,      every,
-                            backend, ranks,    workers,   transport,
-                            program};
+                            backend, ranks,    transport, program};
       const Status wrote = write_manifest(checkpoint_dir, manifest);
       if (!wrote.ok()) {
         std::fprintf(stderr, "mpc embed: %s\n", wrote.to_string().c_str());
@@ -542,7 +547,10 @@ int cmd_embed_mpc(const PointSet& points, const std::string& in_path,
 int cmd_resume(int argc, char** argv) {
   std::vector<std::string> positional;
   std::vector<std::pair<std::string, std::string>> flags;
-  if (!parse_flags(argc, argv, 2, &positional, &flags)) return usage();
+  if (!parse_flags(argc, argv, 2, &positional, &flags) ||
+      !known_flags("resume", flags, {"--trace-out", "--metrics-out"})) {
+    return usage();
+  }
   if (positional.empty()) return usage();
   const ObsOutputs outputs = obs_outputs(flags);
   arm_tracer(outputs);
@@ -557,7 +565,6 @@ int cmd_resume(int argc, char** argv) {
       points.size() * std::max<std::size_t>(points.dim(), 1) * sizeof(double);
   mpc::ClusterConfig config =
       mpc_cli_config(input_bytes, manifest->backend, manifest->ranks);
-  config.ipc.workers = manifest->workers;
   config.ipc.transport = manifest->transport;
   config.checkpoint.mode = mpc::CheckpointPolicy::Mode::kEveryK;
   config.checkpoint.directory = dir;
@@ -630,13 +637,20 @@ int cmd_embed(int argc, char** argv) {
   std::vector<std::pair<std::string, std::string>> flags;
   if (!parse_flags(argc, argv, 2, &positional, &flags)) return usage();
   if (positional.size() < 2) return usage();
+  // The cluster and checkpoint flags only mean something for mpc.
+  const bool known =
+      positional.size() > 2 && positional[2] == "mpc"
+          ? known_flags("embed", flags,
+                        {"--checkpoint-dir", "--every", "--crash-at",
+                         "--backend", "--ranks", "--transport",
+                         "--trace-out", "--metrics-out"})
+          : known_flags("embed", flags, {"--trace-out", "--metrics-out"});
+  if (!known) return usage();
   const PointSet points = read_csv_points_file(positional[0]);
   const std::uint64_t seed =
       positional.size() > 3
           ? static_cast<std::uint64_t>(std::atoll(positional[3].c_str()))
           : 1;
-  const std::string checkpoint_dir =
-      flag_value(flags, "--checkpoint-dir", "");
   const ObsOutputs outputs = obs_outputs(flags);
   EmbedOptions options;
   if (positional.size() > 2) {
@@ -656,12 +670,6 @@ int cmd_embed(int argc, char** argv) {
       const auto ranks = std::max<std::size_t>(
           1, static_cast<std::size_t>(
                  std::atoll(flag_value(flags, "--ranks", "8").c_str())));
-      const auto workers =
-          parse_workers(flag_value(flags, "--workers", "persistent"));
-      if (!workers.ok()) {
-        std::fprintf(stderr, "%s\n", workers.status().to_string().c_str());
-        return usage();
-      }
       const auto transport =
           parse_transport(flag_value(flags, "--transport", "shm"));
       if (!transport.ok()) {
@@ -670,8 +678,8 @@ int cmd_embed(int argc, char** argv) {
         return usage();
       }
       return cmd_embed_mpc(points, positional[0], positional[1], seed,
-                           checkpoint_dir, every, crash_at, *backend, ranks,
-                           *workers, *transport, outputs);
+                           flag_value(flags, "--checkpoint-dir", ""), every,
+                           crash_at, *backend, ranks, *transport, outputs);
     } else if (method == "grid") {
       options.method = PartitionMethod::kGrid;
     } else if (method == "ball") {
@@ -682,8 +690,6 @@ int cmd_embed(int argc, char** argv) {
       return usage();
     }
   }
-  // The checkpoint flags only mean something for the mpc pipeline.
-  if (!checkpoint_dir.empty()) return usage();
   options.seed = seed;
 
   arm_tracer(outputs);
@@ -714,7 +720,7 @@ int cmd_embed(int argc, char** argv) {
 }
 
 int cmd_stats(int argc, char** argv) {
-  if (argc < 3) return usage();
+  if (argc < 3 || !no_flags("stats", argc, argv)) return usage();
   const Embedding embedding = load_embedding(argv[2]);
   const Hst& tree = embedding.tree;
   const double scale = embedding.scale_to_input;
@@ -731,7 +737,7 @@ int cmd_stats(int argc, char** argv) {
 }
 
 int cmd_query(int argc, char** argv) {
-  if (argc < 5) return usage();
+  if (argc < 5 || !no_flags("query", argc, argv)) return usage();
   const Embedding embedding = load_embedding(argv[2]);
   const Hst& tree = embedding.tree;
   const double scale = embedding.scale_to_input;
@@ -748,7 +754,7 @@ int cmd_query(int argc, char** argv) {
 }
 
 int cmd_distortion(int argc, char** argv) {
-  if (argc < 4) return usage();
+  if (argc < 4 || !no_flags("distortion", argc, argv)) return usage();
   const Embedding embedding = load_embedding(argv[2]);
   const Hst& tree = embedding.tree;
   const double scale = embedding.scale_to_input;
@@ -844,11 +850,20 @@ int cmd_serve(int argc, char** argv) {
   if (flag_value(flags, "--port", "").empty()) return usage();
   // Exactly one of: positional tree files (static) or --dynamic (live).
   if (trees.empty() == dynamic_csv.empty()) return usage();
+  // The ensemble-building and replay flags only mean something live.
+  const bool known =
+      dynamic_csv.empty()
+          ? known_flags("serve", flags,
+                        {"--port", "--batch", "--wait-us", "--queue",
+                         "--cache-bytes", "--threads", "--trace-out",
+                         "--metrics-out"})
+          : known_flags("serve", flags,
+                        {"--port", "--batch", "--wait-us", "--queue",
+                         "--cache-bytes", "--threads", "--trace-out",
+                         "--metrics-out", "--dynamic", "--trees", "--seed",
+                         "--method", "--updates"});
+  if (!known) return usage();
   const std::string updates_path = flag_value(flags, "--updates", "");
-  if (!updates_path.empty() && dynamic_csv.empty()) {
-    std::fprintf(stderr, "serve: --updates requires --dynamic\n");
-    return usage();
-  }
 
   const ObsOutputs outputs = obs_outputs(flags);
   arm_tracer(outputs);
@@ -961,7 +976,11 @@ int cmd_serve(int argc, char** argv) {
 int cmd_dyncheck(int argc, char** argv) {
   std::vector<std::string> positional;
   std::vector<std::pair<std::string, std::string>> flags;
-  if (!parse_flags(argc, argv, 2, &positional, &flags)) return usage();
+  if (!parse_flags(argc, argv, 2, &positional, &flags) ||
+      !known_flags("dyncheck", flags,
+                   {"--updates", "--trees", "--seed", "--method"})) {
+    return usage();
+  }
   if (positional.size() != 1) return usage();
 
   const PointSet initial = read_csv_points_file(positional[0]);
@@ -1066,7 +1085,12 @@ int cmd_dyncheck(int argc, char** argv) {
 int cmd_bench_client(int argc, char** argv) {
   std::vector<std::string> positional;
   std::vector<std::pair<std::string, std::string>> flags;
-  if (!parse_flags(argc, argv, 2, &positional, &flags)) return usage();
+  if (!parse_flags(argc, argv, 2, &positional, &flags) ||
+      !known_flags("bench-client", flags,
+                   {"--port", "--host", "--clients", "--queries",
+                    "--pipeline", "--kind", "--updates", "--shutdown"})) {
+    return usage();
+  }
   const std::string port_text = flag_value(flags, "--port", "");
   if (!positional.empty() || port_text.empty()) return usage();
 
