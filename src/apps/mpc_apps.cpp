@@ -8,11 +8,9 @@
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
 #include "core/mpc_stages.hpp"
-#include "geometry/bounding_box.hpp"
 #include "geometry/quantize.hpp"
 #include "mpc/primitives.hpp"
 #include "mpc/step.hpp"
-#include "partition/coverage.hpp"
 #include "transform/mpc_fjlt.hpp"
 
 namespace mpte {
@@ -221,7 +219,7 @@ struct Prep {
   std::size_t dim = 0;
   std::uint64_t delta = 0;
   double scale_to_input = 1.0;
-  detail::PartitionParams params;
+  PartitionParams params;
   ScaleLadder ladder;
   int retries = 0;
   std::size_t rounds_before = 0;
@@ -261,34 +259,17 @@ Result<Prep> prepare_paths(Cluster& cluster, const PointSet& points,
   detail::scatter_points(cluster, working);
   detail::mpc_quantize(cluster, prep.dim, prep.delta,
                        options.broadcast_fanout);
-  const double width = BoundingBox::of(working).width();
-  prep.scale_to_input =
-      width > 0.0 ? width / static_cast<double>(prep.delta - 1) : 1.0;
-
-  prep.params.delta = prep.delta;
-  prep.params.num_buckets =
-      options.num_buckets > 0
-          ? std::min<std::uint32_t>(options.num_buckets,
-                                    static_cast<std::uint32_t>(prep.dim))
-          : auto_num_buckets(n, prep.dim, options.max_bucket_dim);
-  prep.params.bucket_dim = static_cast<std::uint32_t>(
-      ceil_div(prep.dim, prep.params.num_buckets));
-  prep.params.effective_dim =
-      prep.params.bucket_dim * prep.params.num_buckets;
-  prep.params.uncovered_singleton =
-      options.uncovered == UncoveredPolicy::kSingleton ? 1 : 0;
+  prep.scale_to_input = QuantFrame::of(working, prep.delta).cell;
+  prep.params = resolve_partition_params(
+      hybrid_options_for(options, PartitionMethod::kHybrid, n, prep.dim,
+                         prep.delta),
+      n, prep.dim);
   prep.ladder =
       hybrid_scale_ladder(prep.dim, prep.params.num_buckets, prep.delta);
-  prep.params.num_grids =
-      options.num_grids > 0
-          ? options.num_grids
-          : recommended_num_grids(prep.params.bucket_dim, n,
-                                  prep.params.num_buckets,
-                                  prep.ladder.levels, options.fail_prob);
 
   for (prep.retries = 0;; ++prep.retries) {
-    prep.params.seed = hash_combine(
-        mix64(options.seed), static_cast<std::uint64_t>(prep.retries));
+    prep.params.seed =
+        attempt_seed(options.seed, static_cast<std::uint64_t>(prep.retries));
     const std::uint64_t failures = detail::run_path_records_attempt(
         cluster, prep.dim, prep.params, options.broadcast_fanout,
         emit_links);

@@ -48,8 +48,9 @@ Result<Embedding> embed(const PointSet& points, const EmbedOptions& options) {
   }
 
   // (1) Dimension reduction when the ambient dimension exceeds the FJLT
-  // target k — below that the transform only adds distortion.
-  PointSet working = points;
+  // target k — below that the transform only adds distortion. The input,
+  // the run's largest buffer, is copied only when it is not transformed.
+  PointSet working;
   bool fjlt_applied = false;
   if (options.use_fjlt) {
     const FjltConfig config = FjltConfig::make(
@@ -59,6 +60,7 @@ Result<Embedding> embed(const PointSet& points, const EmbedOptions& options) {
       fjlt_applied = true;
     }
   }
+  if (!fjlt_applied) working = points;
 
   // (2) Quantization to [1, Delta]^dim.
   const std::uint64_t delta =
@@ -69,34 +71,16 @@ Result<Embedding> embed(const PointSet& points, const EmbedOptions& options) {
 
   // (3) Partitioning with retries, (4) assembly.
   const std::size_t dim = quantized.points.dim();
+  HybridOptions hybrid =
+      hybrid_options_for(options, options.method, points.size(), dim, delta);
   Status last_failure(StatusCode::kInternal, "unreached");
   for (int attempt = 0; attempt <= options.max_retries; ++attempt) {
-    const std::uint64_t attempt_seed =
-        hash_combine(mix64(options.seed), static_cast<std::uint64_t>(attempt));
-    Result<Hierarchy> hierarchy = [&]() -> Result<Hierarchy> {
-      switch (options.method) {
-        case PartitionMethod::kGrid:
-          return build_grid_hierarchy(quantized.points, delta, attempt_seed);
-        case PartitionMethod::kBall:
-        case PartitionMethod::kHybrid: {
-          HybridOptions hybrid;
-          hybrid.num_buckets =
-              options.method == PartitionMethod::kBall
-                  ? 1
-                  : (options.num_buckets > 0
-                         ? options.num_buckets
-                         : auto_num_buckets(points.size(), dim,
-                                            options.max_bucket_dim));
-          hybrid.delta = delta;
-          hybrid.seed = attempt_seed;
-          hybrid.num_grids = options.num_grids;
-          hybrid.fail_prob = options.fail_prob;
-          hybrid.uncovered = options.uncovered;
-          return build_hybrid_hierarchy(quantized.points, hybrid);
-        }
-      }
-      return Status(StatusCode::kInvalidArgument, "embed: unknown method");
-    }();
+    hybrid.seed =
+        attempt_seed(options.seed, static_cast<std::uint64_t>(attempt));
+    Result<Hierarchy> hierarchy =
+        options.method == PartitionMethod::kGrid
+            ? build_grid_hierarchy(quantized.points, delta, hybrid.seed)
+            : build_hybrid_hierarchy(quantized.points, hybrid);
 
     if (!hierarchy.ok()) {
       last_failure = hierarchy.status();

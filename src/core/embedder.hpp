@@ -14,6 +14,7 @@
 // tree distances back to input units.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -40,7 +41,8 @@ const char* to_string(PartitionMethod method);
 struct EmbedOptions {
   PartitionMethod method = PartitionMethod::kHybrid;
   /// Buckets r for kHybrid; 0 = auto: max(Theta(log log n) as in
-  /// Theorem 1, ceil(dim / max_bucket_dim)).
+  /// Theorem 1, ceil(dim / max_bucket_dim)). An explicit r above the
+  /// working dimension (which the FJLT decides) is clamped to it.
   std::uint32_t num_buckets = 0;
   /// Cap on the per-bucket dimension d/r when num_buckets is auto. The
   /// grid count U grows as 2^{Theta(k log k)} in the bucket dimension k
@@ -111,5 +113,30 @@ std::uint32_t theorem1_num_buckets(std::size_t n, std::size_t dim);
 /// dimension stays <= max_bucket_dim (see EmbedOptions::max_bucket_dim).
 std::uint32_t auto_num_buckets(std::size_t n, std::size_t dim,
                                std::size_t max_bucket_dim);
+
+/// The HybridOptions every driver (embed, mpc_embed, the MPC applications,
+/// mpte::dyn) partitions with, from its options (EmbedOptions,
+/// MpcEmbedOptions, dyn::DynOptions) over n points in the working
+/// dimension dim. r is 1 for kBall and dim for kGrid; for kHybrid it is
+/// options.num_buckets clamped to dim, or auto_num_buckets when 0. The
+/// caller sets the attempt seed.
+template <typename DriverOptions>
+HybridOptions hybrid_options_for(const DriverOptions& options,
+                                 PartitionMethod method, std::size_t n,
+                                 std::size_t dim, std::uint64_t delta) {
+  const auto d = static_cast<std::uint32_t>(dim);
+  HybridOptions hybrid;
+  hybrid.num_buckets =
+      method == PartitionMethod::kBall   ? 1
+      : method == PartitionMethod::kGrid ? d
+      : options.num_buckets > 0
+          ? std::min(options.num_buckets, d)
+          : auto_num_buckets(n, dim, options.max_bucket_dim);
+  hybrid.delta = delta;
+  hybrid.num_grids = options.num_grids;
+  hybrid.fail_prob = options.fail_prob;
+  hybrid.uncovered = options.uncovered;
+  return hybrid;
+}
 
 }  // namespace mpte

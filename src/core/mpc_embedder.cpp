@@ -5,14 +5,11 @@
 #include <optional>
 #include <unordered_map>
 
-#include "common/math_util.hpp"
 #include "common/rng.hpp"
 #include "core/mpc_stages.hpp"
-#include "geometry/bounding_box.hpp"
 #include "geometry/quantize.hpp"
 #include "mpc/primitives.hpp"
 #include "obs/trace.hpp"
-#include "partition/coverage.hpp"
 #include "transform/mpc_fjlt.hpp"
 #include "tree/embedding_builder.hpp"
 
@@ -113,10 +110,8 @@ Result<MpcEmbedding> mpc_embed(Cluster& cluster, const PointSet& points,
     delta = options.delta > 0
                 ? options.delta
                 : recommended_delta(working, options.quantize_eps, 1ull << 20);
-    // scale_to_input mirrors the snap cell (same arithmetic, host-side).
-    const double width = BoundingBox::of(working).width();
-    scale_to_input =
-        width > 0.0 ? width / static_cast<double>(delta - 1) : 1.0;
+    // scale_to_input mirrors the snap cell (same frame, host-side).
+    scale_to_input = QuantFrame::of(working, delta).cell;
   }
   if (delta < 2) {
     return Status(StatusCode::kInvalidArgument,
@@ -135,34 +130,19 @@ Result<MpcEmbedding> mpc_embed(Cluster& cluster, const PointSet& points,
   detail::scatter_points(cluster, working);
   detail::mpc_quantize(cluster, dim, delta, options.broadcast_fanout);
 
-  // Partition parameters.
-  detail::PartitionParams params;
-  params.delta = delta;
-  params.num_buckets =
-      options.num_buckets > 0
-          ? std::min<std::uint32_t>(options.num_buckets,
-                                    static_cast<std::uint32_t>(dim))
-          : auto_num_buckets(n, dim, options.max_bucket_dim);
-  params.bucket_dim =
-      static_cast<std::uint32_t>(ceil_div(dim, params.num_buckets));
-  params.effective_dim = params.bucket_dim * params.num_buckets;
-  params.uncovered_singleton =
-      options.uncovered == UncoveredPolicy::kSingleton ? 1 : 0;
+  PartitionParams params = resolve_partition_params(
+      hybrid_options_for(options, PartitionMethod::kHybrid, n, dim, delta), n,
+      dim);
   const ScaleLadder ladder =
       hybrid_scale_ladder(dim, params.num_buckets, delta);
-  params.num_grids =
-      options.num_grids > 0
-          ? options.num_grids
-          : recommended_num_grids(params.bucket_dim, n, params.num_buckets,
-                                  ladder.levels, options.fail_prob);
 
   // Stages 3–4 with Monte Carlo retries.
   int attempt = 0;
   for (;; ++attempt) {
     note.attempt = static_cast<std::uint32_t>(attempt);
     cluster.set_driver_note(note.to_buffer());
-    params.seed = hash_combine(mix64(options.seed),
-                               static_cast<std::uint64_t>(attempt));
+    params.seed =
+        attempt_seed(options.seed, static_cast<std::uint64_t>(attempt));
     std::uint64_t failures = detail::run_partition_attempt(
         cluster, dim, params, options.broadcast_fanout);
     // While fast-forwarding, the fail-total read above observed the

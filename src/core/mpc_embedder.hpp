@@ -35,7 +35,8 @@ namespace mpte {
 struct MpcEmbedOptions {
   /// Buckets r; 0 = auto (Theorem 1's Theta(log log n) raised so the
   /// per-bucket dimension stays <= max_bucket_dim — see
-  /// EmbedOptions::max_bucket_dim for the rationale).
+  /// EmbedOptions::max_bucket_dim for the rationale). An explicit r above
+  /// the working dimension is clamped to it, exactly as in embed().
   std::uint32_t num_buckets = 0;
   std::size_t max_bucket_dim = 3;
   /// Grid extent Delta; 0 = host-side recommended_delta (the aspect-ratio

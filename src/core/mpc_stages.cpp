@@ -1,16 +1,13 @@
 #include "core/mpc_stages.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <span>
 
 #include "common/math_util.hpp"
-#include "common/rng.hpp"
+#include "geometry/quantize.hpp"
 #include "mpc/step.hpp"
 #include "obs/trace.hpp"
-#include "partition/ball_partition.hpp"
-#include "simd/arena.hpp"
 
 namespace mpte::detail {
 
@@ -101,8 +98,7 @@ Step make_quantize_combine(StepParams params) {
     for (std::size_t j = 0; j < dim; ++j) {
       width = std::max(width, hi[j] - lo[j]);
     }
-    const double cell =
-        width > 0.0 ? width / static_cast<double>(delta - 1) : 1.0;
+    const double cell = QuantFrame::cell_for(width, delta);
     Serializer s(sizeof(double) + wire_size<double>(dim));
     s.write(cell);
     s.write_vector(lo);
@@ -117,15 +113,11 @@ Step make_quantize_snap(StepParams params) {
   return [dim, delta](MachineContext& ctx) {
     Deserializer d(ctx.store().blob(keys::kBox));
     const auto cell = d.read<double>();
-    const auto lo = d.read_vector<double>();
+    const QuantFrame frame{d.read_vector<double>(), cell, delta};
     ctx.store().erase(keys::kBox);
     auto data = keys::kPts.get(ctx.store());
     for (std::size_t e = 0; e < data.size(); ++e) {
-      const std::size_t j = e % dim;
-      const double offset = (data[e] - lo[j]) / cell;
-      const double snapped =
-          std::clamp(std::round(offset), 0.0, static_cast<double>(delta - 1));
-      data[e] = snapped + 1.0;
+      data[e] = frame.snap(data[e], e % dim);
     }
     keys::kPts.set(ctx.store(), data);
   };
@@ -140,95 +132,36 @@ Step make_grids_build(StepParams params) {
   };
 }
 
-/// Common body of the two stage-4 variants: computes each local point's
-/// id chain and calls `emit(point, level, parent_id, child_id)` per level.
-/// Returns the number of uncovered events under the kFail policy.
-template <typename Emit>
-std::uint64_t compute_paths(MachineContext& ctx, std::size_t dim,
-                            const PartitionParams& p, Emit&& emit) {
-  const ScaleLadder ladder =
-      hybrid_scale_ladder(dim, p.num_buckets, p.delta);
-  const auto idx = keys::kIdx.get(ctx.store());
-  const auto data = keys::kPts.get(ctx.store());
-  if (idx.empty()) return 0;
-
-  // Construct every (level, bucket) grid set once, outside the point loop:
-  // BallGrids materializes its shift table at construction, so rebuilding
-  // it per point would redo U × bucket_dim hashes per assignment.
-  std::vector<BallGrids> grids_cache;
-  grids_cache.reserve(ladder.levels * p.num_buckets);
-  for (std::size_t level = 1; level <= ladder.levels; ++level) {
-    for (std::uint32_t j = 0; j < p.num_buckets; ++j) {
-      grids_cache.emplace_back(p.bucket_dim, ladder.scales[level],
-                               p.num_grids,
-                               hybrid_grid_seed(p.seed, level, j));
-    }
-  }
-
-  std::uint64_t failures = 0;
-  // Per-attempt staging row from this thread's scratch arena rather than a
-  // heap vector: machine steps run inside a ScratchScope (mpc::Cluster),
-  // so the row is reclaimed when the step ends.
-  simd::ScratchScope scratch_scope;
-  const std::span<double> bucket_coords =
-      scratch_scope.arena().alloc<double>(p.bucket_dim);
-  for (std::size_t local = 0; local < idx.size(); ++local) {
-    const std::uint64_t point = idx[local];
-    std::uint64_t id = hybrid_root_id(p.seed);
-    for (std::size_t level = 1; level <= ladder.levels; ++level) {
-      const std::uint64_t parent = id;
-      for (std::uint32_t j = 0; j < p.num_buckets; ++j) {
-        const BallGrids& grids =
-            grids_cache[(level - 1) * p.num_buckets + j];
-        // Projection with zero padding past the true dimension
-        // (footnote 3), matching PointSet::pad_dims + project.
-        for (std::uint32_t t = 0; t < p.bucket_dim; ++t) {
-          const std::size_t coord = j * p.bucket_dim + t;
-          bucket_coords[t] = coord < dim ? data[local * dim + coord] : 0.0;
-        }
-        std::uint64_t ball = grids.assign(bucket_coords);
-        if (ball == kUncovered) {
-          if (p.uncovered_singleton == 0) {
-            ++failures;
-            ball = 0;  // placeholder; the attempt will be retried
-          } else {
-            ball = hash_combine(hash_combine(mix64(0xdeadull), point),
-                                hash_combine(level, j));
-          }
-        }
-        id = hash_combine(id, ball);
-      }
-      emit(point, level, parent, id);
-    }
-  }
-  return failures;
+/// Common body of the two stage-4 variants: consumes keys::kGrids, runs the
+/// column rule over this machine's block salted by `idx` (the global dense
+/// index), and stores keys::kFail (uncovered events; 0 under kSingleton).
+Hierarchy local_columns(MachineContext& ctx, std::size_t dim,
+                      std::span<const std::uint64_t> idx) {
+  const auto p = keys::kGrids.get(ctx.store());
+  keys::kGrids.erase(ctx.store());
+  Hierarchy columns = hybrid_columns(keys::kPts.get(ctx.store()), dim, p, idx);
+  const std::uint64_t failures =
+      p.uncovered() == UncoveredPolicy::kFail ? columns.uncovered_events : 0;
+  keys::kFail.set(ctx.store(), failures);
+  return columns;
 }
 
 Step make_paths_compute(StepParams params) {
   Deserializer pd(params);
   const auto dim = static_cast<std::size_t>(pd.read<std::uint64_t>());
   return [dim](MachineContext& ctx) {
-    const auto p = keys::kGrids.get(ctx.store());
-    keys::kGrids.erase(ctx.store());
+    const auto idx = keys::kIdx.get(ctx.store());
+    const auto ids = local_columns(ctx, dim, idx).cluster_of_point;
     std::vector<KV> edges;
     std::vector<KV> leaves;
-    std::uint64_t last_point = ~0ull;
-    const std::uint64_t failures = compute_paths(
-        ctx, dim, p,
-        [&](std::uint64_t point, std::size_t level, std::uint64_t parent,
-            std::uint64_t child) {
-          edges.push_back(KV{child, parent});
-          if (point != last_point) {
-            leaves.push_back(KV{point, child});
-            last_point = point;
-          } else {
-            leaves.back().value = child;
-          }
-          (void)level;
-        });
+    for (std::size_t i = 0; i < idx.size(); ++i) {
+      for (std::size_t level = 1; level < ids.size(); ++level) {
+        edges.push_back(KV{ids[level][i], ids[level - 1][i]});
+      }
+      leaves.push_back(KV{idx[i], ids.back()[i]});
+    }
     keys::kEdges.set(ctx.store(), edges);
     keys::kLeaf.set(ctx.store(), leaves);
-    keys::kFail.set(ctx.store(), failures);
   };
 }
 
@@ -237,23 +170,22 @@ Step make_paths_records(StepParams params) {
   const auto dim = static_cast<std::size_t>(pd.read<std::uint64_t>());
   const bool emit_links = pd.read<std::uint8_t>() != 0;
   return [dim, emit_links](MachineContext& ctx) {
-    const auto p = keys::kGrids.get(ctx.store());
-    keys::kGrids.erase(ctx.store());
+    const auto idx = keys::kIdx.get(ctx.store());
+    const auto ids = local_columns(ctx, dim, idx).cluster_of_point;
     std::vector<KV> records;
     std::vector<KV> links;
-    const std::uint64_t failures = compute_paths(
-        ctx, dim, p,
-        [&](std::uint64_t point, std::size_t level, std::uint64_t parent,
-            std::uint64_t child) {
-          records.push_back(KV{pack_level_node(level, child), point});
-          if (emit_links) {
-            links.push_back(KV{pack_level_node(level, child),
-                               pack_level_node(level - 1, parent)});
-          }
-        });
+    for (std::size_t i = 0; i < idx.size(); ++i) {
+      for (std::size_t level = 1; level < ids.size(); ++level) {
+        const std::uint64_t node = pack_level_node(level, ids[level][i]);
+        records.push_back(KV{node, idx[i]});
+        if (emit_links) {
+          links.push_back(
+              KV{node, pack_level_node(level - 1, ids[level - 1][i])});
+        }
+      }
+    }
     keys::kNodes.set(ctx.store(), records);
     if (emit_links) keys::kLinks.set(ctx.store(), links);
-    keys::kFail.set(ctx.store(), failures);
   };
 }
 

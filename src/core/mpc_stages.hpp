@@ -5,7 +5,9 @@
 // *distributed* root-to-leaf paths directly — one extra shuffle instead of
 // assembling the tree centrally. Keeping the stages in one place
 // guarantees every consumer computes the identical hierarchy for a given
-// seed.
+// seed. Stage 4 runs partition/'s hybrid_columns over each machine's
+// block, salted by emb/idx, so it equals build_hybrid_hierarchy's result
+// by construction.
 //
 // The cluster-resident state these stages leave behind is exposed as the
 // typed keys in mpte::detail::keys below; the full data-layout contract
@@ -22,19 +24,6 @@
 #include "partition/hybrid_partition.hpp"
 
 namespace mpte::detail {
-
-/// The "grids" rank 0 builds and broadcasts (stage 3): the counter-based
-/// description of every grid of every level and bucket — seed, scale
-/// ladder parameters, and grid count.
-struct PartitionParams {
-  std::uint64_t seed = 0;
-  std::uint64_t delta = 0;
-  std::uint64_t num_grids = 0;
-  std::uint32_t num_buckets = 0;
-  std::uint32_t bucket_dim = 0;
-  std::uint32_t effective_dim = 0;  // bucket_dim * num_buckets
-  std::uint32_t uncovered_singleton = 0;
-};
 
 /// Typed handles to the cluster-resident state of the embedding pipeline.
 /// See docs/mpc-model.md for the layout contract.
@@ -63,8 +52,8 @@ void scatter_points(mpc::Cluster& cluster, const PointSet& points);
 void mpc_quantize(mpc::Cluster& cluster, std::size_t dim,
                   std::uint64_t delta, std::size_t fanout);
 
-/// Stages 3+4 for one seed attempt: broadcast the grid description, then
-/// every machine computes its points' root-to-leaf paths locally, leaving
+/// Stages 3+4 for one seed attempt: broadcast `params`, then every machine
+/// runs the column rule over its points locally, leaving
 /// keys::kEdges (KV child-id -> parent-id, per level) and keys::kLeaf
 /// (KV point-index -> bottom cluster id). Returns the number of uncovered
 /// (point, level, bucket) events under the kFail policy (0 = success);

@@ -1,31 +1,16 @@
 #include "dyn/dynamic_embedder.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
-#include "common/math_util.hpp"
-#include "common/rng.hpp"
-#include "geometry/bounding_box.hpp"
-#include "geometry/quantize.hpp"
-#include "partition/coverage.hpp"
 #include "tree/embedding_builder.hpp"
 
 namespace mpte::dyn {
 
-void QuantFrame::snap(std::span<const double> src,
-                      std::span<double> dst) const {
-  for (std::size_t j = 0; j < src.size(); ++j) {
-    const double offset = (src[j] - lo[j]) / cell;
-    double snapped = std::round(offset);
-    snapped = std::clamp(snapped, 0.0, static_cast<double>(delta - 1));
-    dst[j] = snapped + 1.0;
-  }
-}
-
 Result<DynamicEmbedder> DynamicEmbedder::create(const PointSet& initial,
                                                 const DynOptions& options) {
-  if (initial.size() < 2) {
+  const std::size_t n = initial.size();
+  if (n < 2) {
     return Status(StatusCode::kInvalidArgument,
                   "DynamicEmbedder: need at least two initial points");
   }
@@ -33,12 +18,7 @@ Result<DynamicEmbedder> DynamicEmbedder::create(const PointSet& initial,
   dyn.method_ = options.method;
   dyn.dim_ = initial.dim();
   dyn.seed_ = options.seed;
-  // The static path's attempt-0 seed: incremental updates cannot re-seed
-  // (that would change every existing point's column), so the pinned run
-  // is exactly retry attempt 0.
-  dyn.part_seed_ = hash_combine(mix64(options.seed), 0);
   dyn.fail_prob_ = options.fail_prob;
-  dyn.uncovered_ = options.uncovered;
 
   const std::uint64_t delta =
       options.delta > 0
@@ -48,103 +28,86 @@ Result<DynamicEmbedder> DynamicEmbedder::create(const PointSet& initial,
     return Status(StatusCode::kInvalidArgument,
                   "DynamicEmbedder: delta must be >= 2");
   }
-  const BoundingBox box = BoundingBox::of(initial);
-  const double width = box.width();
-  dyn.frame_.lo = box.lo();
-  dyn.frame_.cell =
-      width > 0.0 ? width / static_cast<double>(delta - 1) : 1.0;
-  dyn.frame_.delta = delta;
+  dyn.frame_ = QuantFrame::of(initial, delta);
+  PointSet snapped(n, dyn.dim_);
+  for (std::size_t i = 0; i < n; ++i) dyn.frame_.snap(initial[i], snapped[i]);
+
+  HybridOptions hybrid =
+      hybrid_options_for(options, options.method, n, dyn.dim_, delta);
+  // The static path's attempt-0 seed: incremental updates cannot re-seed
+  // (that would change every existing point's column), so the pinned run
+  // is exactly retry attempt 0.
+  hybrid.seed = attempt_seed(options.seed, 0);
 
   if (options.method == PartitionMethod::kGrid) {
-    dyn.num_buckets_ = static_cast<std::uint32_t>(dyn.dim_);
-    dyn.num_grids_ = 0;
-    dyn.bucket_dim_ = dyn.dim_;
-    dyn.padded_dim_ = dyn.dim_;
+    dyn.params_.seed = hybrid.seed;
+    dyn.params_.delta = delta;
+    dyn.params_.num_buckets = hybrid.num_buckets;
+    dyn.params_.uncovered_singleton =
+        options.uncovered == UncoveredPolicy::kSingleton ? 1 : 0;
     dyn.ladder_ = grid_scale_ladder(dyn.dim_, delta);
-    dyn.level_grids_.reserve(dyn.ladder_.levels);
     for (std::size_t level = 1; level <= dyn.ladder_.levels; ++level) {
       dyn.level_grids_.emplace_back(dyn.dim_, dyn.ladder_.scales[level],
-                                    grid_level_seed(dyn.part_seed_, level));
+                                    grid_level_seed(hybrid.seed, level));
     }
   } else {
-    const std::uint32_t r =
-        options.method == PartitionMethod::kBall
-            ? 1
-            : (options.num_buckets > 0
-                   ? options.num_buckets
-                   : auto_num_buckets(initial.size(), dyn.dim_,
-                                      options.max_bucket_dim));
-    if (r < 1 || r > dyn.dim_) {
-      return Status(StatusCode::kInvalidArgument,
-                    "DynamicEmbedder: need 1 <= num_buckets <= dim");
-    }
-    dyn.num_buckets_ = r;
-    dyn.bucket_dim_ = ceil_div(dyn.dim_, static_cast<std::size_t>(r));
-    dyn.padded_dim_ = dyn.bucket_dim_ * r;
-    dyn.ladder_ = hybrid_scale_ladder(dyn.dim_, r, delta);
-    dyn.num_grids_ =
-        options.num_grids > 0
-            ? options.num_grids
-            : recommended_num_grids(dyn.bucket_dim_, initial.size(), r,
-                                    dyn.ladder_.levels, options.fail_prob);
-    dyn.grids_.reserve(dyn.ladder_.levels * r);
+    dyn.params_ = resolve_partition_params(hybrid, n, dyn.dim_);
+    dyn.ladder_ = hybrid_scale_ladder(dyn.dim_, hybrid.num_buckets, delta);
     for (std::size_t level = 1; level <= dyn.ladder_.levels; ++level) {
-      for (std::uint32_t j = 0; j < r; ++j) {
-        dyn.grids_.emplace_back(dyn.bucket_dim_, dyn.ladder_.scales[level],
-                                dyn.num_grids_,
-                                hybrid_grid_seed(dyn.part_seed_, level, j));
+      for (std::uint32_t j = 0; j < hybrid.num_buckets; ++j) {
+        dyn.grids_.push_back(hybrid_ball_grids(
+            dyn.params_, dyn.ladder_.scales[level], level, j));
       }
     }
   }
 
-  for (std::size_t i = 0; i < initial.size(); ++i) {
-    const Status inserted = dyn.insert_with_id(i, initial[i]);
-    if (!inserted.ok()) return inserted;
+  // The initial points get ids 0..n-1, their dense indexes, so their
+  // columns are exactly the static builder's: run it.
+  const Result<Hierarchy> columns =
+      options.method == PartitionMethod::kGrid
+          ? build_grid_hierarchy(snapped, delta, hybrid.seed)
+          : build_hybrid_hierarchy(snapped, hybrid);
+  if (!columns.ok()) return columns.status();
+  for (std::size_t i = 0; i < n; ++i) {
+    Record record;
+    record.snapped.assign(snapped[i].begin(), snapped[i].end());
+    record.column.reserve(columns->levels());
+    for (const auto& level : columns->cluster_of_point) {
+      record.column.push_back(level[i]);
+    }
+    dyn.records_.emplace_hint(dyn.records_.end(), i, std::move(record));
   }
-  // The seed pass is the build, not an update stream: report update work
-  // from zero.
-  dyn.cells_recomputed_ = 0;
+  dyn.next_id_ = n;
   return dyn;
 }
 
 Result<std::vector<std::uint64_t>> DynamicEmbedder::compute_column(
     std::uint64_t id, std::span<const double> snapped) const {
-  std::vector<std::uint64_t> column(ladder_.levels + 1);
-  column[0] = hybrid_root_id(part_seed_);
-  if (method_ == PartitionMethod::kGrid) {
-    for (std::size_t level = 1; level <= ladder_.levels; ++level) {
-      column[level] = hash_combine(
-          column[level - 1], level_grids_[level - 1].cell_id(snapped));
-    }
-    return column;
-  }
+  std::vector<std::uint64_t> column(ladder_.levels + 1,
+                                    hybrid_root_id(params_.seed));
   // Zero-pad so r divides the dimension, exactly like the static builder.
-  std::vector<double> padded(padded_dim_, 0.0);
+  std::vector<double> padded(std::max<std::size_t>(params_.effective_dim,
+                                                   dim_));
   std::copy(snapped.begin(), snapped.end(), padded.begin());
+  std::size_t uncovered = 0;
   for (std::size_t level = 1; level <= ladder_.levels; ++level) {
-    std::uint64_t cluster = column[level - 1];
-    for (std::uint32_t j = 0; j < num_buckets_; ++j) {
-      const BallGrids& grids = grids_[(level - 1) * num_buckets_ + j];
-      std::uint64_t ball = grids.assign(std::span<const double>(
-          padded.data() + j * bucket_dim_, bucket_dim_));
-      if (ball == kUncovered) {
-        if (uncovered_ == UncoveredPolicy::kFail) {
-          return Status(
-              StatusCode::kCoverageFailure,
-              "ball partitioning left point id " + std::to_string(id) +
-                  " uncovered at level " + std::to_string(level) +
-                  " bucket " + std::to_string(j) + " (U=" +
-                  std::to_string(num_grids_) + ")");
-        }
-        // Salted with the stable id (the static builder salts with the
-        // dense index) — see the byte-identity caveat in the header.
-        ball = hash_combine(hash_combine(mix64(0xdeadull), id),
-                            hash_combine(level, j));
-      }
-      cluster = hash_combine(cluster, ball);
+    column[level] = column[level - 1];
+    const std::span<std::uint64_t> cell(&column[level], 1);
+    if (method_ == PartitionMethod::kGrid) {
+      fold_grid_level(level_grids_[level - 1], snapped, cell);
+      continue;
     }
-    column[level] = cluster;
+    // Salted with the stable id (the static builder salts with the dense
+    // index) — see the byte-identity caveat in the header.
+    for (std::uint32_t j = 0; j < params_.num_buckets; ++j) {
+      uncovered += fold_bucket(grids_[(level - 1) * params_.num_buckets + j],
+                               padded, j * params_.bucket_dim, 0,
+                               std::span(&id, 1), level, j,
+                               params_.uncovered(), cell);
+    }
   }
+  const Status covered = coverage_status(params_, uncovered);
+  if (!covered.ok()) return covered;
   return column;
 }
 
@@ -207,8 +170,8 @@ Result<Embedding> DynamicEmbedder::materialize() const {
                   "materialize: need at least two live points");
   }
   Hierarchy h;
-  h.num_buckets = num_buckets_;
-  h.num_grids = num_grids_;
+  h.num_buckets = params_.num_buckets;
+  h.num_grids = params_.num_grids;
   h.scales = ladder_.scales;
   h.edge_weight = ladder_.edge_weight;
   h.cluster_of_point.assign(ladder_.levels + 1,
@@ -233,8 +196,8 @@ Result<Embedding> DynamicEmbedder::materialize() const {
       std::move(points),
       frame_.cell,
       frame_.delta,
-      num_buckets_,
-      num_grids_,
+      params_.num_buckets,
+      params_.num_grids,
       dim_,
       /*fjlt_applied=*/false,
       /*retries_used=*/0,
@@ -246,13 +209,13 @@ Result<Embedding> DynamicEmbedder::materialize() const {
 EmbedOptions DynamicEmbedder::static_equivalent_options() const {
   EmbedOptions options;
   options.method = method_;
-  options.num_buckets = num_buckets_;
+  options.num_buckets = params_.num_buckets;
   options.delta = frame_.delta;
   options.seed = seed_;
   options.use_fjlt = false;
-  options.num_grids = num_grids_;
+  options.num_grids = params_.num_grids;
   options.fail_prob = fail_prob_;
-  options.uncovered = uncovered_;
+  options.uncovered = params_.uncovered();
   // Byte-identity is pinned to retry attempt 0.
   options.max_retries = 0;
   return options;

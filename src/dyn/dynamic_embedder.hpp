@@ -14,9 +14,12 @@
 // lows + cell width), bucket count r, grid count U, the scale ladder, and
 // the partition structures for every (level, bucket) — at creation, then
 // maintains a map from stable point id to that point's snapped coordinates
-// and cluster-id column. insert() computes one new column (O(levels * r)
-// ball probes); erase() drops one. materialize() lays the live columns out
-// in ascending-id order and runs the *same* build_hst the static path
+// and cluster-id column. create() builds the initial columns with the
+// static builder itself (build_hybrid_hierarchy / build_grid_hierarchy);
+// insert() runs the same per-level fold (fold_bucket / fold_grid_level) on
+// one point over the pinned tables (O(levels * r) ball probes); erase()
+// drops one column. materialize() lays the live columns out in ascending-id
+// order and runs the *same* build_hst the static path
 // runs, so the produced tree is byte-identical (hst_to_bytes) to
 // embed(final_points, static_equivalent_options()) whenever the final
 // set's bounding box matches the pinned frame — the core correctness
@@ -28,7 +31,10 @@
 //    (quantized) coordinates.
 //  * UncoveredPolicy::kSingleton salts the fallback ball id with the
 //    point's *stable id*, where the static builder salts with the dense
-//    index; byte-identity therefore requires zero uncovered events
+//    index. The two agree while the live ids are exactly 0..n-1 — after
+//    create() and any run of insert() calls — so singleton salts diverge
+//    only after a remove (erase(), or an insert_with_id that skips ids).
+//    From then on byte-identity requires zero uncovered events
 //    (guaranteed under kFail, overwhelmingly likely under the default
 //    fail_prob).
 //  * The partition seed is the static path's attempt-0 retry seed. If
@@ -45,8 +51,7 @@
 #include "common/status.hpp"
 #include "core/embedder.hpp"
 #include "geometry/point_set.hpp"
-#include "partition/ball_partition.hpp"
-#include "partition/grid_partition.hpp"
+#include "geometry/quantize.hpp"
 #include "partition/hybrid_partition.hpp"
 
 namespace mpte::dyn {
@@ -56,6 +61,7 @@ namespace mpte::dyn {
 struct DynOptions {
   PartitionMethod method = PartitionMethod::kHybrid;
   /// Buckets r for kHybrid; 0 = auto_num_buckets over the *initial* set.
+  /// An explicit r above dim is clamped to dim, as in embed().
   std::uint32_t num_buckets = 0;
   /// Cap on the per-bucket dimension when num_buckets is auto.
   std::size_t max_bucket_dim = 3;
@@ -71,20 +77,6 @@ struct DynOptions {
   std::size_t num_grids = 0;
   double fail_prob = 1e-6;
   UncoveredPolicy uncovered = UncoveredPolicy::kFail;
-};
-
-/// The quantization frame quantize_to_grid derives from a bounding box,
-/// frozen so late inserts snap to the same lattice as the initial points.
-struct QuantFrame {
-  /// Per-dimension lower corner of the pinned box.
-  std::vector<double> lo;
-  /// Lattice cell width (= Embedding::scale_to_input).
-  double cell = 1.0;
-  std::uint64_t delta = 0;
-
-  /// Snaps raw input coordinates onto {1, ..., delta}^d, reproducing
-  /// quantize_to_grid arithmetic exactly.
-  void snap(std::span<const double> src, std::span<double> dst) const;
 };
 
 class DynamicEmbedder {
@@ -150,22 +142,18 @@ class DynamicEmbedder {
 
   DynamicEmbedder() = default;
 
-  /// Computes the cluster-id column of one snapped point. `id` only salts
-  /// the kSingleton fallback.
+  /// The cluster-id column of one snapped point: the static builder's fold
+  /// over the pinned tables. `id` only salts the kSingleton fallback.
   Result<std::vector<std::uint64_t>> compute_column(
       std::uint64_t id, std::span<const double> snapped) const;
 
   PartitionMethod method_ = PartitionMethod::kHybrid;
   std::size_t dim_ = 0;
-  /// Padded dimension bucket_dim_ * r (hybrid/ball); == dim_ for grid.
-  std::size_t padded_dim_ = 0;
-  std::size_t bucket_dim_ = 0;
-  std::uint32_t num_buckets_ = 1;
-  std::size_t num_grids_ = 0;
-  std::uint64_t seed_ = 0;       // embed()-level root seed
-  std::uint64_t part_seed_ = 0;  // attempt-0 partition seed
+  std::uint64_t seed_ = 0;  // embed()-level root seed
+  /// The pinned partition (attempt-0 seed); the grid method sets only
+  /// seed, delta, num_buckets (= dim) and the policy.
+  PartitionParams params_;
   double fail_prob_ = 1e-6;
-  UncoveredPolicy uncovered_ = UncoveredPolicy::kFail;
   QuantFrame frame_;
   ScaleLadder ladder_;
   /// Hybrid/ball: grids_[(level-1) * r + bucket]; immutable once built.

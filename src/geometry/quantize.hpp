@@ -8,10 +8,32 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "geometry/point_set.hpp"
 
 namespace mpte {
+
+/// The affine quantization frame x -> round((x - lo) / cell) + 1. Every
+/// quantizer (quantize_to_grid, the MPC snap stage, a dynamic embedder's
+/// pinned frame) snaps through it, so all produce the same integer points.
+struct QuantFrame {
+  std::vector<double> lo;  // lower corner of the box
+  /// Lattice cell width (= Embedding::scale_to_input).
+  double cell = 1.0;
+  std::uint64_t delta = 0;
+
+  /// width / (delta - 1), or 1 for a degenerate box. Requires delta >= 2.
+  static double cell_for(double width, std::uint64_t delta);
+  /// The frame of the tight bounding box of a nonempty point set.
+  static QuantFrame of(const PointSet& points, std::uint64_t delta);
+
+  /// Snaps coordinate x of dimension j onto {1, ..., delta}, clamping
+  /// coordinates outside the frame onto its boundary.
+  double snap(double x, std::size_t j) const;
+  void snap(std::span<const double> src, std::span<double> dst) const;
+};
 
 /// Result of quantizing a real point set onto the integer grid.
 struct Quantized {

@@ -17,16 +17,26 @@
 // bound 2*sqrt(r)*w drops below the minimum interpoint distance 1 of
 // integer inputs, guaranteeing singleton leaves.
 //
+// The column rule (a point's cluster ids from PartitionParams, coordinates
+// and a salt) is written once: fold_bucket per (level, bucket), with
+// hybrid_columns the level-major builder over it (fold_grid_level for the
+// grid method). The sequential, MPC and dynamic builds differ only in their
+// points, where their grids live, and the salt of an uncovered point's
+// singleton ball: dense index, emb/idx, or stable id.
+//
 // Edge weights: the edge entering a level-i node weighs 2*sqrt(r)*w_i
 // (hybrid; the within-cluster diameter bound) and sqrt(d)*w_i (grid; the
 // cell diagonal). Both satisfy domination; see tree/embedding_builder.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/status.hpp"
 #include "geometry/point_set.hpp"
+#include "partition/ball_partition.hpp"
+#include "partition/grid_partition.hpp"
 
 namespace mpte {
 
@@ -73,8 +83,6 @@ struct Hierarchy {
   std::uint32_t num_buckets = 1;
   /// Grids per (level, bucket) (0 for the grid method).
   std::size_t num_grids = 0;
-  /// Total bytes explicit grid-shift storage would need (Lemma 8 metric).
-  std::size_t explicit_grid_bytes = 0;
   /// Count of (point, level, bucket) cover misses resolved by the
   /// kSingleton policy (always 0 under kFail success).
   std::size_t uncovered_events = 0;
@@ -109,15 +117,74 @@ ScaleLadder hybrid_scale_ladder(std::size_t dim, std::uint32_t num_buckets,
 ScaleLadder grid_scale_ladder(std::size_t dim, std::uint64_t delta);
 
 /// Per-level seed of the grid hierarchy's ShiftedGrid (counter-based, like
-/// hybrid_grid_seed).
+/// hybrid_ball_grids).
 std::uint64_t grid_level_seed(std::uint64_t seed, std::size_t level);
-
-/// Grid seed for (level, bucket) — the shared counter-based derivation.
-std::uint64_t hybrid_grid_seed(std::uint64_t seed, std::size_t level,
-                               std::uint32_t bucket);
 
 /// Root cluster id for a run seed.
 std::uint64_t hybrid_root_id(std::uint64_t seed);
+
+/// The resolved description of one hybrid run: everything that fixes every
+/// grid of every (level, bucket), plus the uncovered policy. The MPC build
+/// broadcasts it verbatim (stage 3, `grids/build`), so its 40-byte layout
+/// is wire format.
+struct PartitionParams {
+  std::uint64_t seed = 0;
+  std::uint64_t delta = 0;
+  std::uint64_t num_grids = 0;
+  std::uint32_t num_buckets = 0;
+  std::uint32_t bucket_dim = 0;
+  std::uint32_t effective_dim = 0;  // bucket_dim * num_buckets
+  std::uint32_t uncovered_singleton = 0;
+
+  UncoveredPolicy uncovered() const {
+    return uncovered_singleton != 0 ? UncoveredPolicy::kSingleton
+                                    : UncoveredPolicy::kFail;
+  }
+};
+static_assert(sizeof(PartitionParams) == 40, "grids/build wire layout");
+
+/// Resolves `options` (num_buckets in [1, dim]) for n points in `dim`
+/// dimensions: bucket_dim = ceil(dim / r), zero-padded to effective_dim
+/// (footnote 3); num_grids 0 becomes recommended_num_grids.
+PartitionParams resolve_partition_params(const HybridOptions& options,
+                                         std::size_t n, std::size_t dim);
+
+/// Partition seed of Monte Carlo retry `attempt` under root seed `seed`
+/// (mpte::dyn pins attempt 0).
+std::uint64_t attempt_seed(std::uint64_t seed, std::uint64_t attempt);
+
+/// The BallGrids of (level, bucket) under `params` at scale `radius`.
+BallGrids hybrid_ball_grids(const PartitionParams& params, double radius,
+                            std::size_t level, std::uint32_t bucket);
+
+/// One (level, bucket) step of the column rule over ids.size() rows: row
+/// i's bucket is the grids.dim() coordinates at coords[offset + i * stride]
+/// (zeros past the true dimension), and its first covering ball is
+/// hash-chained into ids[i]. An uncovered row gets a private ball salted
+/// by salts[i] under kSingleton, the placeholder 0 under kFail (the caller
+/// discards the attempt). Returns the number of uncovered rows.
+std::size_t fold_bucket(const BallGrids& grids,
+                        std::span<const double> coords, std::size_t offset,
+                        std::size_t stride,
+                        std::span<const std::uint64_t> salts,
+                        std::size_t level, std::uint32_t bucket,
+                        UncoveredPolicy policy, std::span<std::uint64_t> ids);
+
+/// kCoverageFailure if `uncovered` events remain under the kFail policy.
+Status coverage_status(const PartitionParams& params, std::size_t uncovered);
+
+/// The column rule over salts.size() rows of `points` (row-major, `dim`
+/// coordinates each), level-major, returned as their Hierarchy: fold_bucket
+/// for every level of the hybrid ladder and every bucket, one (level,
+/// bucket) BallGrids at a time, with uncovered events counted.
+Hierarchy hybrid_columns(std::span<const double> points, std::size_t dim,
+                         const PartitionParams& params,
+                         std::span<const std::uint64_t> salts);
+
+/// One level of the grid method: ids[i] = hash_combine(ids[i],
+/// grid.cell_id(row i)) over the row-major rows of `coords`.
+void fold_grid_level(const ShiftedGrid& grid, std::span<const double> coords,
+                     std::span<std::uint64_t> ids);
 
 /// Builds the hybrid hierarchy of Algorithm 1 over integer points in
 /// [1, delta]^d. Fails with kCoverageFailure under UncoveredPolicy::kFail

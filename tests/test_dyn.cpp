@@ -88,24 +88,48 @@ void expect_matches_static(const DynamicEmbedder& dynamic,
 // ------------------------------------------------ single-embedder identity
 
 TEST(DynamicEmbedder, InsertOnlyMatchesStaticBuild) {
-  const std::size_t dim = 6;
-  const PointSet initial = anchored_points(40, dim, 7);
-  auto dynamic = DynamicEmbedder::create(initial, base_options());
-  ASSERT_TRUE(dynamic.ok()) << dynamic.status().to_string();
+  // Second input: kSingleton with U = 2 hits singleton balls; while ids
+  // equal dense indexes the stable-id salt is the static builder's.
+  DynOptions singleton = base_options();
+  singleton.uncovered = UncoveredPolicy::kSingleton;
+  singleton.num_grids = 2;
+  for (const DynOptions& options : {base_options(), singleton}) {
+    const std::size_t dim = 6;
+    const PointSet initial = anchored_points(40, dim, 7);
+    auto dynamic = DynamicEmbedder::create(initial, options);
+    ASSERT_TRUE(dynamic.ok()) << dynamic.status().to_string();
 
-  std::map<std::uint64_t, std::vector<double>> inputs;
-  for (std::size_t i = 0; i < initial.size(); ++i) {
-    inputs[i] = {initial[i].begin(), initial[i].end()};
+    std::map<std::uint64_t, std::vector<double>> inputs;
+    for (std::size_t i = 0; i < initial.size(); ++i) {
+      inputs[i] = {initial[i].begin(), initial[i].end()};
+    }
+    const PointSet extra = generate_uniform_cube(25, dim, kBox, 8);
+    for (std::size_t i = 0; i < extra.size(); ++i) {
+      auto id = dynamic->insert(extra[i]);
+      ASSERT_TRUE(id.ok()) << id.status().to_string();
+      EXPECT_EQ(*id, initial.size() + i);  // monotonic dense assignment
+      inputs[*id] = {extra[i].begin(), extra[i].end()};
+    }
+    EXPECT_EQ(dynamic->size(), initial.size() + extra.size());
+    expect_matches_static(*dynamic, inputs);
+
+    if (options.uncovered == UncoveredPolicy::kSingleton) {
+      // Not vacuous: the final set really takes the singleton path.
+      const EmbedOptions pinned = dynamic->static_equivalent_options();
+      HybridOptions hybrid;
+      hybrid.num_buckets = pinned.num_buckets;
+      hybrid.delta = pinned.delta;
+      hybrid.seed = attempt_seed(pinned.seed, 0);
+      hybrid.num_grids = pinned.num_grids;
+      hybrid.uncovered = pinned.uncovered;
+      const auto materialized = dynamic->materialize();
+      ASSERT_TRUE(materialized.ok());
+      const auto h =
+          build_hybrid_hierarchy(materialized->embedded_points, hybrid);
+      ASSERT_TRUE(h.ok());
+      EXPECT_GT(h->uncovered_events, 0u);
+    }
   }
-  const PointSet extra = generate_uniform_cube(25, dim, kBox, 8);
-  for (std::size_t i = 0; i < extra.size(); ++i) {
-    auto id = dynamic->insert(extra[i]);
-    ASSERT_TRUE(id.ok()) << id.status().to_string();
-    EXPECT_EQ(*id, initial.size() + i);  // monotonic dense assignment
-    inputs[*id] = {extra[i].begin(), extra[i].end()};
-  }
-  EXPECT_EQ(dynamic->size(), initial.size() + extra.size());
-  expect_matches_static(*dynamic, inputs);
 }
 
 TEST(DynamicEmbedder, RandomInsertEraseMatchesStaticBuild) {

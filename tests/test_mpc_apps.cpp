@@ -8,7 +8,6 @@
 #include "apps/emd.hpp"
 #include "apps/mst.hpp"
 #include "apps/union_find.hpp"
-#include "common/rng.hpp"
 #include "geometry/generators.hpp"
 #include "geometry/quantize.hpp"
 
@@ -39,7 +38,7 @@ Hierarchy reference_hierarchy(const PointSet& points,
   HybridOptions hybrid;
   hybrid.num_buckets = options.num_buckets;
   hybrid.delta = options.delta;
-  hybrid.seed = hash_combine(mix64(options.seed), 0);  // attempt 0
+  hybrid.seed = attempt_seed(options.seed, 0);
   auto result = build_hybrid_hierarchy(q.points, hybrid);
   EXPECT_TRUE(result.ok());
   return std::move(result).value();

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "dyn/dynamic_embedder.hpp"
 #include "geometry/generators.hpp"
 #include "tree/distortion.hpp"
 
@@ -39,34 +40,100 @@ TEST(MpcEmbedder, ProducesValidDominatingTree) {
 }
 
 TEST(MpcEmbedder, MatchesSequentialPipelineExactly) {
-  // Same seed, no FJLT: the MPC tree must realize the identical metric.
+  // Same seed, no FJLT: the MPC tree must realize the identical metric —
+  // also when singleton balls are hit (kSingleton with U = 2), which pins
+  // the dense-index salt both paths use.
   const PointSet points = generate_uniform_cube(70, 4, 20.0, 7);
+  struct Case {
+    UncoveredPolicy uncovered;
+    std::size_t num_grids;
+  };
+  for (const Case c : {Case{UncoveredPolicy::kFail, 0},
+                       Case{UncoveredPolicy::kSingleton, 2}}) {
+    EmbedOptions seq_options;
+    seq_options.method = PartitionMethod::kHybrid;
+    seq_options.num_buckets = 2;
+    seq_options.delta = 256;
+    seq_options.seed = 11;
+    seq_options.use_fjlt = false;
+    seq_options.uncovered = c.uncovered;
+    seq_options.num_grids = c.num_grids;
+    const auto seq = embed(points, seq_options);
+    ASSERT_TRUE(seq.ok());
+
+    Cluster cluster = big_cluster(5);
+    MpcEmbedOptions mpc_options;
+    mpc_options.num_buckets = 2;
+    mpc_options.delta = 256;
+    mpc_options.seed = 11;
+    mpc_options.use_fjlt = false;
+    mpc_options.uncovered = c.uncovered;
+    mpc_options.num_grids = c.num_grids;
+    const auto par = mpc_embed(cluster, points, mpc_options);
+    ASSERT_TRUE(par.ok()) << par.status().to_string();
+
+    if (c.uncovered == UncoveredPolicy::kSingleton) {
+      // Not vacuous: the sequential build really takes the singleton path.
+      HybridOptions hybrid;
+      hybrid.num_buckets = 2;
+      hybrid.delta = 256;
+      hybrid.seed = attempt_seed(11, 0);
+      hybrid.num_grids = c.num_grids;
+      hybrid.uncovered = c.uncovered;
+      const auto h = build_hybrid_hierarchy(seq->embedded_points, hybrid);
+      ASSERT_TRUE(h.ok());
+      EXPECT_GT(h->uncovered_events, 0u);
+    }
+
+    // Identical quantized points...
+    EXPECT_EQ(par->embedded_points.raw(), seq->embedded_points.raw());
+    // ...and identical tree metric.
+    ASSERT_EQ(par->tree.num_points(), seq->tree.num_points());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      for (std::size_t j = i + 1; j < points.size(); ++j) {
+        EXPECT_DOUBLE_EQ(par->tree.distance(i, j), seq->tree.distance(i, j))
+            << "pair " << i << "," << j;
+      }
+    }
+  }
+}
+
+TEST(MpcEmbedder, ExplicitBucketCountAboveDimClampsInEveryDriver) {
+  // r = dim + 3 resolves to r = dim in embed, mpc_embed and dyn alike.
+  const std::size_t dim = 4;
+  const PointSet points = generate_uniform_cube(40, dim, 20.0, 29);
+  const auto r = static_cast<std::uint32_t>(dim + 3);
 
   EmbedOptions seq_options;
-  seq_options.method = PartitionMethod::kHybrid;
-  seq_options.num_buckets = 2;
-  seq_options.delta = 256;
-  seq_options.seed = 11;
+  seq_options.num_buckets = r;
+  seq_options.delta = 128;
+  seq_options.seed = 31;
   seq_options.use_fjlt = false;
   const auto seq = embed(points, seq_options);
-  ASSERT_TRUE(seq.ok());
+  ASSERT_TRUE(seq.ok()) << seq.status().to_string();
+  EXPECT_EQ(seq->buckets_used, dim);
 
-  Cluster cluster = big_cluster(5);
+  Cluster cluster = big_cluster(3);
   MpcEmbedOptions mpc_options;
-  mpc_options.num_buckets = 2;
-  mpc_options.delta = 256;
-  mpc_options.seed = 11;
+  mpc_options.num_buckets = r;
+  mpc_options.delta = 128;
+  mpc_options.seed = 31;
   mpc_options.use_fjlt = false;
   const auto par = mpc_embed(cluster, points, mpc_options);
   ASSERT_TRUE(par.ok()) << par.status().to_string();
+  EXPECT_EQ(par->buckets_used, dim);
 
-  // Identical quantized points...
-  EXPECT_EQ(par->embedded_points.raw(), seq->embedded_points.raw());
-  // ...and identical tree metric.
-  ASSERT_EQ(par->tree.num_points(), seq->tree.num_points());
+  dyn::DynOptions dyn_options;
+  dyn_options.num_buckets = r;
+  dyn_options.delta = 128;
+  dyn_options.seed = 31;
+  const auto dynamic = dyn::DynamicEmbedder::create(points, dyn_options);
+  ASSERT_TRUE(dynamic.ok()) << dynamic.status().to_string();
+  EXPECT_EQ(dynamic->static_equivalent_options().num_buckets, dim);
+
   for (std::size_t i = 0; i < points.size(); ++i) {
     for (std::size_t j = i + 1; j < points.size(); ++j) {
-      EXPECT_DOUBLE_EQ(par->tree.distance(i, j), seq->tree.distance(i, j))
+      EXPECT_EQ(par->distance(i, j), seq->distance(i, j))
           << "pair " << i << "," << j;
     }
   }

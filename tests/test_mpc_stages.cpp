@@ -8,7 +8,6 @@
 #include "geometry/generators.hpp"
 #include "geometry/quantize.hpp"
 #include "mpc/primitives.hpp"
-#include "partition/coverage.hpp"
 
 namespace mpte::detail {
 namespace {
@@ -75,17 +74,11 @@ TEST(MpcQuantize, MatchesSequentialQuantizer) {
 PartitionParams make_params(std::uint64_t seed, std::size_t n,
                             std::size_t dim, std::uint32_t r,
                             std::uint64_t delta) {
-  PartitionParams params;
-  params.seed = seed;
-  params.delta = delta;
-  params.num_buckets = r;
-  params.bucket_dim = static_cast<std::uint32_t>((dim + r - 1) / r);
-  params.effective_dim = params.bucket_dim * r;
-  params.uncovered_singleton = 0;
-  const ScaleLadder ladder = hybrid_scale_ladder(dim, r, delta);
-  params.num_grids =
-      recommended_num_grids(params.bucket_dim, n, r, ladder.levels, 1e-6);
-  return params;
+  HybridOptions options;
+  options.num_buckets = r;
+  options.delta = delta;
+  options.seed = seed;
+  return resolve_partition_params(options, n, dim);
 }
 
 TEST(RunPartitionAttempt, EdgesMatchSequentialHierarchy) {
