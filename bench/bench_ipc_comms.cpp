@@ -1,12 +1,12 @@
-// Transport cost of the multi-process backend vs the in-process simulator.
+// Frame-carrier cost of the multi-process backend vs the in-process
+// simulator.
 //
 // One benchmark round is a representative comms-heavy step: every machine
 // rewrites one store blob and sends a fixed payload to every peer
 // (all-to-all), so a round moves M*M*payload message bytes plus M store
 // deltas. The in-process rows price the simulator's refcounted delivery;
 // the proc rows price the kStep protocol (resident workers, dirty-key
-// patches, serialize, transport hop, barrier) on each transport
-// substrate (socketpair vs shared-memory ring; see
+// patches, serialize, shared-memory ring hop, barrier; see
 // docs/ipc-transport.md), at M in {4, 8, 16}. Every row runs the same
 // registered named step so the comparison isolates the substrate, not
 // the step body.
@@ -184,20 +184,15 @@ class IpcBenchRecorder {
 };
 
 /// The benchmark's substrate axis. Mode 0 is the in-process baseline;
-/// 1 rides the socketpair, 2 the shared-memory ring (the default).
+/// 1 is the multi-process backend on its shared-memory rings.
 struct ProcMode {
   const char* name;
   mpc::Backend backend;
-  mpc::IpcOptions::Transport transport;
 };
 
 constexpr ProcMode kModes[] = {
-    {"inproc", mpc::Backend::kInProcess,
-     mpc::IpcOptions::Transport::kShmRing},
-    {"proc-persistent-socketpair", mpc::Backend::kMultiProcess,
-     mpc::IpcOptions::Transport::kSocketpair},
-    {"proc-persistent-shm", mpc::Backend::kMultiProcess,
-     mpc::IpcOptions::Transport::kShmRing},
+    {"inproc", mpc::Backend::kInProcess},
+    {"proc-persistent-shm", mpc::Backend::kMultiProcess},
 };
 
 void BM_AllToAllRound(benchmark::State& state) {
@@ -208,7 +203,6 @@ void BM_AllToAllRound(benchmark::State& state) {
   config.num_machines = machines;
   config.local_memory_bytes = 1 << 22;
   config.backend = mode.backend;
-  config.ipc.transport = mode.transport;
   mpc::Cluster cluster(config);
 
   // The first round pays the one-time pool spawn + initial resync; it is
@@ -240,7 +234,7 @@ void BM_AllToAllRound(benchmark::State& state) {
 
 BENCHMARK(BM_AllToAllRound)
     ->ArgNames({"machines", "mode"})
-    ->ArgsProduct({{4, 8, 16}, {0, 1, 2}})
+    ->ArgsProduct({{4, 8, 16}, {0, 1}})
     ->Iterations(kRoundsPerTrial)
     ->Repetitions(kTrials)
     ->Unit(benchmark::kMillisecond);

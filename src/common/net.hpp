@@ -1,5 +1,5 @@
 // EINTR-safe blocking socket I/O shared by serve (TCP line protocol) and
-// ipc (frame transport over socketpairs).
+// ipc (ring-overflow frames over socketpairs).
 //
 // Every helper retries on EINTR and never raises SIGPIPE (sends use
 // MSG_NOSIGNAL), so callers see peer death as a Status instead of a

@@ -230,15 +230,9 @@ Result<MpcEmbedding> mpc_embed(Cluster& cluster, const PointSet& points,
   detail::keys::kFailTotal.erase(cluster.store(0));
 
   MpcEmbedding embedding{
-      assemble_pruned(raw),
-      std::move(embedded),
-      scale_to_input,
-      delta,
-      params.num_buckets,
-      params.num_grids,
-      dim,
-      fjlt_applied,
-      attempt,
+      {assemble_pruned(raw), std::move(embedded), scale_to_input, delta,
+       params.num_buckets, params.num_grids, dim, fjlt_applied, attempt,
+       /*point_ids=*/{}},
       cluster.stats().rounds() - rounds_before,
   };
   return embedding;

@@ -55,24 +55,11 @@ struct MpcEmbedOptions {
   std::size_t broadcast_fanout = 4;
 };
 
-/// A finished MPC embedding plus its cost accounting.
-struct MpcEmbedding {
-  Hst tree;
-  /// Quantized (and possibly reduced) points, gathered for inspection.
-  PointSet embedded_points;
-  double scale_to_input = 1.0;
-  std::uint64_t delta_used = 0;
-  std::uint32_t buckets_used = 0;
-  std::size_t grids_used = 0;
-  std::size_t dim_used = 0;
-  bool fjlt_applied = false;
-  int retries_used = 0;
+/// A finished MPC embedding: the same Embedding the sequential pipeline
+/// returns (point_ids empty: the identity mapping), plus its round count.
+struct MpcEmbedding : Embedding {
   /// Rounds consumed by this call (delta of cluster.stats()).
   std::size_t rounds_used = 0;
-
-  double distance(std::size_t p, std::size_t q) const {
-    return tree.distance(p, q) * scale_to_input;
-  }
 };
 
 /// Runs the full MPC pipeline on `cluster`. Input scatter and output

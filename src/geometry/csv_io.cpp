@@ -1,6 +1,7 @@
 #include "geometry/csv_io.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
@@ -35,6 +36,12 @@ PointSet read_csv_points(std::istream& in) {
       const auto [next, ec] = std::from_chars(cursor, end, value);
       if (ec != std::errc{}) {
         throw MpteError("read_csv_points: bad number at line " +
+                        std::to_string(line_number));
+      }
+      // from_chars accepts "nan", "inf" and "infinity"; no embedding of
+      // a non-finite coordinate means anything.
+      if (!std::isfinite(value)) {
+        throw MpteError("read_csv_points: non-finite value at line " +
                         std::to_string(line_number));
       }
       row.push_back(value);

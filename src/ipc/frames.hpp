@@ -1,6 +1,7 @@
 // Wire frames for the multi-process MPC backend.
 //
-// Every frame on a coordinator<->worker socketpair is the common/checksum
+// Every coordinator<->worker frame — on the shared-memory ring or, when
+// too large for it, the worker's socketpair — is the common/checksum
 // envelope applied to a Serializer payload:
 //
 //   u32 magic "FVMP" | u32 version | u64 payload_size
@@ -10,7 +11,8 @@
 // — the exact byte layout snapshots and trees use on disk, so one
 // integrity path covers files and sockets. A reader pulls the fixed
 // 16-byte prefix, learns the payload size, then receives payload+digest
-// in a single Buffer::from_fd allocation and verifies the digest.
+// (from an fd: in a single Buffer::from_fd allocation) and verifies the
+// digest.
 //
 // Blobs (store deltas/patches, outbox fragments, inbox payloads) are
 // tagged: inline (length + bytes) or an (offset, length) reference into
@@ -135,9 +137,8 @@ struct BlobArena {
 /// indirection costs more than the copy for tiny payloads.
 inline constexpr std::size_t kArenaBlobMin = 256;
 
-/// Encoders: `arena` is optional; nullptr inlines every blob (the
-/// socketpair wire format). Frames with no blob payloads (error,
-/// shutdown) have no arena parameter.
+/// Encoders: `arena` is optional; nullptr inlines every blob. Frames
+/// with no blob payloads (error, shutdown) have no arena parameter.
 mpc::Buffer encode_result(const ResultFrame& frame,
                           BlobArena* arena = nullptr);
 mpc::Buffer encode_error(const ErrorFrame& frame);

@@ -58,17 +58,17 @@ ResultFrame build_result(mpc::MachineId rank, std::size_t round,
 /// Rank-side loop of one worker. The Machine (store + inbox)
 /// lives here across rounds; each kStep patches it, runs the registered
 /// step, and answers with the dirty-key result delta. The next kStep is
-/// the implicit commit; EOF (coordinator teardown or exit) or kShutdown
-/// ends the loop. A step exception answers kError and keeps looping —
+/// the implicit commit; a closed channel (coordinator teardown or exit)
+/// or kShutdown ends the loop. A step exception answers kError and keeps looping —
 /// the coordinator decides whether the pool lives on.
 [[noreturn]] void worker_main(std::size_t m, mpc::MachineId rank,
-                              Transport& transport) {
+                              ShmChannel& channel) {
   par::set_default_threads(1);
   mpc::Machine machine;
   mpc::Outbox outbox;
   outbox.fragments.resize(m);
   for (;;) {
-    auto frame = transport.recv_frame(-1);
+    auto frame = channel.recv_frame(-1);
     if (!frame.ok()) _exit(0);  // coordinator closed our channel: clean end
     if (frame->kind == FrameKind::kShutdown) _exit(0);
     if (frame->kind != FrameKind::kStep) _exit(4);
@@ -93,33 +93,21 @@ ResultFrame build_result(mpc::MachineId rank, std::size_t round,
       mpc::execute_rank_step(rank, m, machine, outbox, body);
       ResultFrame result = build_result(rank, step.round, machine, outbox);
       const mpc::Buffer encoded =
-          encode_result(result, transport.encode_arena());
-      if (!transport.send_frame(encoded).ok()) _exit(2);
+          encode_result(result, channel.encode_arena());
+      if (!channel.send_frame(encoded).ok()) _exit(2);
       outbox.fragments.assign(m, {});  // moved out by build_result
     } catch (const std::exception& e) {
       ErrorFrame error;
       error.rank = rank;
       error.round = step.round;
       error.message = e.what();
-      if (!transport.send_frame(encode_error(error)).ok()) _exit(1);
+      if (!channel.send_frame(encode_error(error)).ok()) _exit(1);
       // Our resident store may hold a half-executed step now; the
-      // coordinator tears the pool down on kError, so the next read EOFs.
+      // coordinator tears the pool down on kError, so the next read fails.
     } catch (...) {
       _exit(3);
     }
   }
-}
-
-/// IpcOptions -> per-pool transport configuration.
-Transport::Config transport_config(const mpc::ClusterConfig& config) {
-  Transport::Config transport;
-  transport.kind =
-      config.ipc.transport == mpc::IpcOptions::Transport::kShmRing
-          ? TransportKind::kShmRing
-          : TransportKind::kSocketpair;
-  transport.ring_bytes = config.ipc.shm_ring_bytes;
-  transport.arena_bytes = config.ipc.shm_arena_bytes;
-  return transport;
 }
 
 /// Folds every rank's ring/arena counter deltas into the stats. The
@@ -128,7 +116,7 @@ Transport::Config transport_config(const mpc::ClusterConfig& config) {
 /// as long as the pool (and with it the mapping) is alive.
 void drain_pool_counters(ProcessPool& pool, IpcStats& stats) {
   for (mpc::MachineId rank = 0; rank < pool.size(); ++rank) {
-    const RingCounters delta = pool.transport(rank).drain_counters();
+    const RingCounters delta = pool.channel(rank).drain_counters();
     stats.ring_wraps += delta.wraps;
     stats.ring_full_waits += delta.full_waits;
     stats.shm_bytes += delta.shm_bytes;
@@ -160,11 +148,11 @@ WorkerLost::WorkerLost(mpc::MachineId rank, std::size_t round, Cause cause,
 ProcBackend::~ProcBackend() {
   if (!pool_) return;
   // Graceful end-of-life: ask every live worker to _exit(0), then join.
-  // Workers blocked in read_frame see either the kShutdown or the EOF
-  // when the pool closes fds; the pool destructor SIGKILLs stragglers.
+  // Workers blocked on their ring exit on the kShutdown; join_all
+  // SIGKILLs stragglers.
   const mpc::Buffer shutdown = encode_shutdown();
   for (mpc::MachineId rank = 0; rank < pool_->size(); ++rank) {
-    (void)pool_->transport(rank).send_frame(shutdown);
+    (void)pool_->channel(rank).send_frame(shutdown);
   }
   (void)pool_->join_all(1000);
   drain_pool_counters(*pool_, stats_);
@@ -191,9 +179,11 @@ void ProcBackend::run_steps(const mpc::ClusterConfig& config,
 
   if (!pool_) {
     auto spawned = ProcessPool::spawn(
-        m, transport_config(config),
-        [m](mpc::MachineId rank, Transport& transport) {
-          worker_main(m, rank, transport);
+        m,
+        ShmChannel::Config{config.ipc.shm_ring_bytes,
+                           config.ipc.shm_arena_bytes},
+        [m](mpc::MachineId rank, ShmChannel& channel) {
+          worker_main(m, rank, channel);
         });
     if (!spawned.ok()) {
       throw MpteError("ipc: " + spawned.status().to_string());
@@ -249,8 +239,8 @@ void ProcBackend::run_steps(const mpc::ClusterConfig& config,
     }
     step.inbox = machines[rank].inbox;
     const mpc::Buffer encoded =
-        encode_step(step, pool_->transport(rank).encode_arena());
-    if (!pool_->transport(rank).send_frame(encoded).ok()) {
+        encode_step(step, pool_->channel(rank).encode_arena());
+    if (!pool_->channel(rank).send_frame(encoded).ok()) {
       ++stats_.workers_lost;
       std::string detail = "step frame write failed";
       if (pool_->try_reap(rank)) {
@@ -280,7 +270,7 @@ void ProcBackend::run_steps(const mpc::ClusterConfig& config,
       const auto remaining =
           std::chrono::duration_cast<std::chrono::milliseconds>(
               deadline - Clock::now());
-      auto frame = pool_->transport(rank).recv_frame(
+      auto frame = pool_->channel(rank).recv_frame(
           static_cast<int>(std::max<std::int64_t>(0, remaining.count())));
       if (!frame.ok()) {
         ++stats_.workers_lost;

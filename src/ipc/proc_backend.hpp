@@ -15,11 +15,10 @@
 // in-process backend uses, which is why RoundStats, channel byte totals,
 // and the golden fingerprints are byte-identical between backends.
 //
-// Frames travel the substrate IpcOptions::transport selects — per-worker
-// shared-memory rings + blob arenas (kShmRing, the default) or plain
-// socketpairs — through the Transport seam (shm_ring.hpp). Decoded
-// frames are identical on either substrate, so the transport choice
-// never affects results either; see docs/ipc-transport.md.
+// Frames travel one ShmChannel per worker (shm_ring.hpp): shared-memory
+// rings + blob arenas, with the worker's socketpair carrying only frames
+// too large for its ring. Decoded frames are identical on either path,
+// so ring sizes never affect results either; see docs/ipc-transport.md.
 //
 // Failure semantics: a worker that dies (EOF/EPIPE, observed exit),
 // misses the round deadline, or sends garbage surfaces as WorkerLost —
@@ -94,9 +93,9 @@ struct IpcStats {
   std::uint64_t workers_respawned = 0;
   /// Full store resyncs shipped to (re)spawned workers.
   std::uint64_t store_resyncs = 0;
-  // --- shared-memory transport counters (kShmRing only; all zero under
-  // kSocketpair). Drained from the shared ring headers once per round
-  // and at pool teardown, so worker-side activity is included. ---
+  // --- shared-memory channel counters. Drained from the shared ring
+  // headers once per round and at pool teardown, so worker-side
+  // activity is included. ---
   /// Frame writes that wrapped past the end of a ring buffer.
   std::uint64_t ring_wraps = 0;
   /// Blocking episodes where a producer found its ring full.

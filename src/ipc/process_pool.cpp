@@ -25,7 +25,7 @@ void close_fd(int& fd) {
 }  // namespace
 
 Result<ProcessPool> ProcessPool::spawn(std::size_t ranks,
-                                       const Transport::Config& transport,
+                                       const ShmChannel::Config& channel,
                                        const WorkerMain& worker_main) {
   ProcessPool pool;
   pool.workers_.resize(ranks);
@@ -38,17 +38,17 @@ Result<ProcessPool> ProcessPool::spawn(std::size_t ranks,
       pool.kill_all();
       return status;
     }
-    // The transport (and any shared-memory channel inside it) must exist
-    // *before* fork so both processes inherit the same mapping.
-    auto endpoint = Transport::create(transport);
+    // The shared-memory channel must exist *before* fork so both
+    // processes inherit the same mapping.
+    auto endpoint = ShmChannel::create(channel);
     if (!endpoint.ok()) {
       ::close(sv[0]);
       ::close(sv[1]);
       pool.kill_all();
       return endpoint.status();
     }
-    pool.workers_[rank].transport =
-        std::make_unique<Transport>(std::move(*endpoint));
+    pool.workers_[rank].channel =
+        std::make_unique<ShmChannel>(std::move(*endpoint));
     const pid_t pid = ::fork();
     if (pid < 0) {
       const Status status(StatusCode::kUnavailable,
@@ -66,7 +66,7 @@ Result<ProcessPool> ProcessPool::spawn(std::size_t ranks,
       for (std::size_t earlier = 0; earlier < rank; ++earlier) {
         ::close(pool.workers_[earlier].fd);
       }
-      Transport& mine = *pool.workers_[rank].transport;
+      ShmChannel& mine = *pool.workers_[rank].channel;
       mine.bind(Side::kWorker, sv[1]);
       worker_main(static_cast<mpc::MachineId>(rank), mine);
       _exit(0);  // worker_main should _exit itself; this is the backstop
@@ -74,7 +74,7 @@ Result<ProcessPool> ProcessPool::spawn(std::size_t ranks,
     ::close(sv[1]);
     pool.workers_[rank].pid = pid;
     pool.workers_[rank].fd = sv[0];
-    pool.workers_[rank].transport->bind(Side::kCoordinator, sv[0]);
+    pool.workers_[rank].channel->bind(Side::kCoordinator, sv[0]);
   }
   return pool;
 }
@@ -112,7 +112,7 @@ bool ProcessPool::try_reap(mpc::MachineId rank) {
 void ProcessPool::kill_all() {
   for (Worker& worker : workers_) {
     close_fd(worker.fd);
-    if (worker.transport) worker.transport->shutdown_channel();
+    if (worker.channel) worker.channel->close();
     if (worker.pid < 0 || worker.reaped) continue;
     ::kill(worker.pid, SIGKILL);
     int status = 0;

@@ -1,14 +1,13 @@
 // Worker pool for the multi-process MPC backend.
 //
-// spawn() creates one transport endpoint + forked child per rank. Every
-// rank always gets a Unix-domain socketpair — the frame carrier under
-// TransportKind::kSocketpair, and the fallback/liveness channel under
-// kShmRing, where frames normally travel a pre-fork shared-memory ring
-// pair (see shm_ring.hpp). The child inherits the coordinator's
-// StepRegistry copy-on-write — which is how a step name resolves on both
-// ends — runs the supplied entry function, and must _exit (never return:
-// running atexit handlers or flushing inherited stdio in a forked child
-// would corrupt the parent's world).
+// spawn() creates one ShmChannel + socketpair + forked child per rank.
+// Frames travel the channel's pre-fork shared-memory rings (see
+// shm_ring.hpp); the socketpair carries only frames too large for a ring
+// and the liveness probe that turns a dead peer into POLLHUP. The child
+// inherits the coordinator's StepRegistry copy-on-write — which is how a
+// step name resolves on both ends — runs the supplied entry function,
+// and must _exit (never return: running atexit handlers or flushing
+// inherited stdio in a forked child would corrupt the parent's world).
 //
 // The pool owns the parent-side fds, the shared-memory channels, and the
 // pids. Its destructor SIGKILLs and reaps anything still running, so no
@@ -30,16 +29,16 @@ namespace mpte::ipc {
 
 class ProcessPool {
  public:
-  /// Runs rank-side; must not return (call _exit). `transport` is the
+  /// Runs rank-side; must not return (call _exit). `channel` is the
   /// worker's end of its duplex channel, already bound to Side::kWorker.
   using WorkerMain =
-      std::function<void(mpc::MachineId rank, Transport& transport)>;
+      std::function<void(mpc::MachineId rank, ShmChannel& channel)>;
 
-  /// Forks `ranks` workers over `transport`-configured channels. On a
+  /// Forks `ranks` workers over `channel`-configured channels. On a
   /// failure the already-spawned workers are killed and kUnavailable is
   /// returned.
   static Result<ProcessPool> spawn(std::size_t ranks,
-                                   const Transport::Config& transport,
+                                   const ShmChannel::Config& channel,
                                    const WorkerMain& worker_main);
 
   ProcessPool(ProcessPool&& other) noexcept;
@@ -51,8 +50,8 @@ class ProcessPool {
   std::size_t size() const { return workers_.size(); }
 
   /// Coordinator-side endpoint of rank's channel.
-  Transport& transport(mpc::MachineId rank) {
-    return *workers_[rank].transport;
+  ShmChannel& channel(mpc::MachineId rank) {
+    return *workers_[rank].channel;
   }
 
   /// Coordinator-side fd of rank's socketpair (-1 once closed).
@@ -82,9 +81,9 @@ class ProcessPool {
   struct Worker {
     pid_t pid = -1;
     int fd = -1;
-    /// unique_ptr: the arena/ring views handed out by the Transport must
+    /// unique_ptr: the arena/ring views handed out by the channel must
     /// stay address-stable while workers_ grows.
-    std::unique_ptr<Transport> transport;
+    std::unique_ptr<ShmChannel> channel;
     bool reaped = false;
     int exit_status = 0;
   };

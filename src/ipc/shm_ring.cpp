@@ -369,46 +369,4 @@ RingCounters ShmChannel::drain_counters() {
   return delta;
 }
 
-Result<Transport> Transport::create(const Config& config) {
-  Transport transport;
-  transport.kind_ = config.kind;
-  if (config.kind == TransportKind::kShmRing) {
-    ShmChannel::Config channel_config;
-    channel_config.ring_bytes = config.ring_bytes;
-    channel_config.arena_bytes = config.arena_bytes;
-    auto channel = ShmChannel::create(channel_config);
-    if (!channel.ok()) return channel.status();
-    transport.channel_ =
-        std::make_unique<ShmChannel>(std::move(*channel));
-  }
-  return transport;
-}
-
-void Transport::bind(Side side, int fd) {
-  fd_ = fd;
-  if (channel_) channel_->bind(side, fd);
-}
-
-Status Transport::send_frame(const mpc::Buffer& encoded) {
-  if (channel_) return channel_->send_frame(encoded);
-  return write_frame(fd_, encoded);
-}
-
-Result<Frame> Transport::recv_frame(int timeout_ms) {
-  if (channel_) return channel_->recv_frame(timeout_ms);
-  return read_frame(fd_, timeout_ms);
-}
-
-BlobArena* Transport::encode_arena() {
-  return channel_ ? channel_->encode_arena() : nullptr;
-}
-
-void Transport::shutdown_channel() {
-  if (channel_) channel_->close();
-}
-
-RingCounters Transport::drain_counters() {
-  return channel_ ? channel_->drain_counters() : RingCounters{};
-}
-
 }  // namespace mpte::ipc

@@ -112,17 +112,15 @@ enum class Backend : std::uint8_t { kInProcess = 0, kMultiProcess = 1 };
 
 /// Knobs for the multi-process backend; ignored under kInProcess.
 struct IpcOptions {
-  /// Byte substrate for coordinator<->worker frames. kShmRing (the
-  /// default) carries frames over per-worker shared-memory SPSC rings
-  /// with large blobs passed by reference through a shared arena; frames
-  /// that exceed ring capacity fall back to the socketpair (counted in
-  /// mpte_ipc_fallback_frames_total, never truncated). kSocketpair is
-  /// the plain-sockets path. Decoded frames are identical either way, so
-  /// the choice never affects results — see docs/ipc-transport.md.
-  enum class Transport : std::uint8_t { kSocketpair = 0, kShmRing = 1 };
-  Transport transport = Transport::kShmRing;
+  /// Coordinator<->worker frames travel per-worker shared-memory SPSC
+  /// rings, with large blobs passed by reference through a shared arena.
+  /// A frame that exceeds ring capacity takes the worker's socketpair
+  /// instead (counted in mpte_ipc_fallback_frames_total, never
+  /// truncated). Decoded frames are identical on either path, so ring
+  /// sizes never affect results — see docs/ipc-transport.md.
+  ///
   /// Per-direction ring data capacity (rounded up to a power of two) and
-  /// per-direction blob arena capacity, per worker, kShmRing only.
+  /// per-direction blob arena capacity, per worker.
   std::size_t shm_ring_bytes = 1u << 20;
   std::size_t shm_arena_bytes = 4u << 20;
   /// Wall-clock budget for one round barrier (provision every worker,

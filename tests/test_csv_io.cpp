@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "common/status.hpp"
 #include "geometry/generators.hpp"
@@ -45,6 +46,17 @@ TEST(CsvIo, RejectsGarbage) {
   EXPECT_THROW((void)read_csv_points(bad_number), MpteError);
   std::istringstream bad_separator("1;2\n");
   EXPECT_THROW((void)read_csv_points(bad_separator), MpteError);
+  // from_chars parses these; the reader must still refuse them.
+  for (const char* value : {"nan", "inf", "-infinity"}) {
+    std::istringstream non_finite(std::string("1,2\n3,") + value + "\n");
+    try {
+      (void)read_csv_points(non_finite);
+      ADD_FAILURE() << value << " was accepted";
+    } catch (const MpteError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(CsvIo, EmptyInputGivesEmptySet) {

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <thread>
+#include <utility>
 
 #include "ckpt/manager.hpp"
 #include "ckpt/recovery.hpp"
@@ -42,23 +43,23 @@ std::uint64_t fnv1a(const std::uint8_t* p, std::size_t n, std::uint64_t h) {
   return h;
 }
 
-/// The execution substrates under test. kInProcess ignores the
-/// transport; every proc variant must match it byte-for-byte — including
-/// across the transport axis (shm ring vs socketpair), which only changes
-/// how frame bytes travel, never what they decode to.
+/// The execution substrates under test. The proc variant must match
+/// in-process byte-for-byte — whatever ring size it runs with, since the
+/// ring and its socketpair overflow path only change how frame bytes
+/// travel, never what they decode to.
 struct BackendVariant {
   const char* name;
   mpc::Backend backend;
-  mpc::IpcOptions::Transport transport =
-      mpc::IpcOptions::Transport::kShmRing;
 };
 
 constexpr BackendVariant kInprocVariant{"inproc", mpc::Backend::kInProcess};
 constexpr BackendVariant kPersistentVariant{"proc-persistent-shm",
                                             mpc::Backend::kMultiProcess};
-constexpr BackendVariant kPersistentSocketpairVariant{
-    "proc-persistent-socketpair", mpc::Backend::kMultiProcess,
-    mpc::IpcOptions::Transport::kSocketpair};
+
+/// Ring and arena sizes small enough that the big resync/result frames
+/// overflow the ring onto the socketpair (frame > capacity - marker).
+constexpr std::size_t kTinyRingBytes = 1u << 10;
+constexpr std::size_t kTinyArenaBytes = 1u << 12;
 
 /// The pinned configuration behind the repo-wide golden fingerprint
 /// (test_mpc_channels.cpp GoldenSeed), parameterized by substrate.
@@ -70,7 +71,6 @@ mpc::ClusterConfig golden_config(const BackendVariant& variant,
   config.enforce_limits = true;
   config.num_threads = threads;
   config.backend = variant.backend;
-  config.ipc.transport = variant.transport;
   return config;
 }
 
@@ -237,7 +237,7 @@ void expect_stores_equal(const mpc::Cluster& a, const mpc::Cluster& b) {
 TEST(BackendEquivalence, GoldenFingerprintAcrossBackendsAndThreads) {
   constexpr std::uint64_t kExpectedHash = 8852295253212578257ull;
   for (const BackendVariant& variant :
-       {kInprocVariant, kPersistentVariant, kPersistentSocketpairVariant}) {
+       {kInprocVariant, kPersistentVariant}) {
     for (const std::size_t threads : {1u, 8u}) {
       mpc::Cluster cluster(golden_config(variant, threads));
       const auto result = golden_embed(cluster);
@@ -253,7 +253,7 @@ TEST(BackendEquivalence, RoundStatsAndChannelBytesIdentical) {
   mpc::Cluster inproc(golden_config(kInprocVariant, 1));
   ASSERT_TRUE(golden_embed(inproc).ok());
   for (const BackendVariant& variant :
-       {kInprocVariant, kPersistentVariant, kPersistentSocketpairVariant}) {
+       {kInprocVariant, kPersistentVariant}) {
     for (const std::size_t threads : {1u, 8u}) {
       SCOPED_TRACE(std::string("backend=") + variant.name +
                    " threads=" + std::to_string(threads));
@@ -278,38 +278,41 @@ TEST(BackendEquivalence, RoundStatsAndChannelBytesIdentical) {
 
 TEST(BackendEquivalence, SocketpairAndShmTransportsIdentical) {
   constexpr std::uint64_t kExpectedHash = 8852295253212578257ull;
+  // Frames reach a worker on one of two carriers: the shm ring, or the
+  // socketpair when a frame overflows the ring. The tiny ring sends the
+  // big frames over the socketpair; the default ring, where every frame
+  // fits, sends none. Neither carrier may change a byte of the result.
   for (const std::size_t threads : {1u, 8u}) {
-    mpc::Cluster shm(golden_config(kPersistentVariant, threads));
-    mpc::Cluster socketpair(
-        golden_config(kPersistentSocketpairVariant, threads));
-    const auto shm_result = golden_embed(shm);
-    const auto sp_result = golden_embed(socketpair);
-    ASSERT_TRUE(shm_result.ok()) << shm_result.status().to_string();
-    ASSERT_TRUE(sp_result.ok()) << sp_result.status().to_string();
-    EXPECT_EQ(embedding_hash(*shm_result), kExpectedHash)
-        << "threads=" << threads;
-    EXPECT_EQ(embedding_hash(*sp_result), kExpectedHash)
-        << "threads=" << threads;
-    expect_records_equal(shm.stats(), socketpair.stats());
-    EXPECT_EQ(shm.stats().channel_totals(),
-              socketpair.stats().channel_totals());
-    expect_stores_equal(shm, socketpair);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    mpc::ClusterConfig tiny_config =
+        golden_config(kPersistentVariant, threads);
+    tiny_config.ipc.shm_ring_bytes = kTinyRingBytes;
+    tiny_config.ipc.shm_arena_bytes = kTinyArenaBytes;
+    mpc::Cluster fits(golden_config(kPersistentVariant, threads));
+    mpc::Cluster tiny(tiny_config);
+    const auto fits_result = golden_embed(fits);
+    const auto tiny_result = golden_embed(tiny);
+    ASSERT_TRUE(fits_result.ok()) << fits_result.status().to_string();
+    ASSERT_TRUE(tiny_result.ok()) << tiny_result.status().to_string();
+    EXPECT_EQ(embedding_hash(*fits_result), kExpectedHash);
+    EXPECT_EQ(embedding_hash(*tiny_result), kExpectedHash);
+    expect_records_equal(fits.stats(), tiny.stats());
+    EXPECT_EQ(fits.stats().channel_totals(), tiny.stats().channel_totals());
+    expect_stores_equal(fits, tiny);
 
-    // The transport actually differed: the shm run moved frame bytes
-    // through shared memory, the socketpair run kept all ring counters
-    // at zero.
-    const auto* shm_backend =
-        dynamic_cast<const ipc::ProcBackend*>(shm.round_executor());
-    const auto* sp_backend =
-        dynamic_cast<const ipc::ProcBackend*>(socketpair.round_executor());
-    ASSERT_NE(shm_backend, nullptr);
-    ASSERT_NE(sp_backend, nullptr);
-    EXPECT_GT(shm_backend->stats().shm_bytes, 0u);
-    EXPECT_EQ(sp_backend->stats().shm_bytes, 0u);
-    EXPECT_EQ(sp_backend->stats().ring_wraps, 0u);
-    EXPECT_EQ(sp_backend->stats().ring_full_waits, 0u);
-    EXPECT_EQ(sp_backend->stats().fallback_frames, 0u);
-  }
+    // Both runs moved frame bytes through shared memory; only the tiny
+    // ring needed the overflow path.
+    const auto* fits_backend =
+        dynamic_cast<const ipc::ProcBackend*>(fits.round_executor());
+    const auto* tiny_backend =
+        dynamic_cast<const ipc::ProcBackend*>(tiny.round_executor());
+    ASSERT_NE(fits_backend, nullptr);
+    ASSERT_NE(tiny_backend, nullptr);
+    EXPECT_GT(fits_backend->stats().shm_bytes, 0u);
+    EXPECT_GT(tiny_backend->stats().shm_bytes, 0u);
+    EXPECT_EQ(fits_backend->stats().fallback_frames, 0u);
+    EXPECT_GT(tiny_backend->stats().fallback_frames, 0u);
+  }  // ~Cluster joins each persistent pool before the zombie check
   EXPECT_TRUE(no_children_remain());
 }
 
@@ -320,8 +323,8 @@ TEST(BackendEquivalence, TinyRingFallsBackWithoutChangingResults) {
   // counted — never silently truncated — and must not change a byte of
   // the result.
   mpc::ClusterConfig config = golden_config(kPersistentVariant, 8);
-  config.ipc.shm_ring_bytes = 1u << 10;
-  config.ipc.shm_arena_bytes = 1u << 12;
+  config.ipc.shm_ring_bytes = kTinyRingBytes;
+  config.ipc.shm_arena_bytes = kTinyArenaBytes;
   {
     mpc::Cluster cluster(config);
     const auto result = golden_embed(cluster);
@@ -342,10 +345,13 @@ TEST(BackendEquivalence, StoreDeltasCoverEraseOverwriteAndFreshKeys) {
   mpc::Cluster inproc(config);
   run_named_delta_pipeline(inproc);
   config.backend = mpc::Backend::kMultiProcess;
-  // Both transports carry the same deltas.
-  for (const auto transport : {mpc::IpcOptions::Transport::kShmRing,
-                               mpc::IpcOptions::Transport::kSocketpair}) {
-    config.ipc.transport = transport;
+  // The default ring and the tiny one carry the same deltas.
+  const mpc::IpcOptions defaults;
+  for (const auto& [ring_bytes, arena_bytes] :
+       {std::pair{defaults.shm_ring_bytes, defaults.shm_arena_bytes},
+        std::pair{kTinyRingBytes, kTinyArenaBytes}}) {
+    config.ipc.shm_ring_bytes = ring_bytes;
+    config.ipc.shm_arena_bytes = arena_bytes;
     mpc::Cluster proc(config);
     run_named_delta_pipeline(proc);
     expect_stores_equal(inproc, proc);

@@ -260,8 +260,8 @@ TEST(ShmChannel, RoundTripsFramesAndFallsBackWhenOversized) {
   ASSERT_TRUE(created.ok()) << created.status().to_string();
   // In a real spawn the worker's end is the same region seen after fork;
   // here the "worker" is this thread speaking the raw marker+envelope
-  // protocol directly over the channel's rings (Transport-level
-  // cross-process equivalence is test_ipc's job).
+  // protocol directly over the channel's rings (cross-process
+  // equivalence is test_ipc's job).
   ShmChannel channel = std::move(*created);
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);

@@ -108,8 +108,7 @@ int usage() {
                "[seed]\n"
                "            [--checkpoint-dir D] [--every K] [--crash-at R] "
                "(mpc only)\n"
-               "            [--backend inproc|proc] [--ranks M] "
-               "[--transport shm|socketpair] (mpc only)\n"
+               "            [--backend inproc|proc] [--ranks M] (mpc only)\n"
                "            [--trace-out FILE] [--metrics-out FILE]\n"
                "  mpte_cli resume <checkpoint-dir> [--trace-out FILE] "
                "[--metrics-out FILE]\n"
@@ -304,20 +303,6 @@ Result<mpc::Backend> parse_backend(const std::string& name) {
                 "unknown --backend '" + name + "' (want inproc|proc)");
 }
 
-const char* transport_name(mpc::IpcOptions::Transport transport) {
-  return transport == mpc::IpcOptions::Transport::kSocketpair ? "socketpair"
-                                                              : "shm";
-}
-
-/// Parses --transport; only meaningful with --backend proc but always
-/// accepted (ignored under inproc, like the rest of IpcOptions).
-Result<mpc::IpcOptions::Transport> parse_transport(const std::string& name) {
-  if (name == "shm") return mpc::IpcOptions::Transport::kShmRing;
-  if (name == "socketpair") return mpc::IpcOptions::Transport::kSocketpair;
-  return Status(StatusCode::kInvalidArgument,
-                "unknown --transport '" + name + "' (want shm|socketpair)");
-}
-
 /// Stable fingerprint of the tree file's payload, printed by both the
 /// embed and resume paths so runs are easy to compare.
 std::uint64_t embedding_fingerprint(const Embedding& embedding) {
@@ -334,7 +319,6 @@ struct CkptManifest {
   /// cluster (the fingerprint depends on the rank count).
   mpc::Backend backend = mpc::Backend::kInProcess;
   std::size_t ranks = 8;
-  mpc::IpcOptions::Transport transport = mpc::IpcOptions::Transport::kShmRing;
   /// Comma-joined round labels committed before a crash. Written when an
   /// embed run dies so resume can check that the re-driven pipeline
   /// replays the same program; empty until then.
@@ -348,8 +332,7 @@ Status write_manifest(const std::string& dir, const CkptManifest& manifest) {
       << "seed=" << manifest.seed << "\n"
       << "every=" << manifest.every << "\n"
       << "backend=" << backend_name(manifest.backend) << "\n"
-      << "ranks=" << manifest.ranks << "\n"
-      << "transport=" << transport_name(manifest.transport) << "\n";
+      << "ranks=" << manifest.ranks << "\n";
   if (!manifest.program.empty()) {
     out << "program=" << manifest.program << "\n";
   }
@@ -390,12 +373,9 @@ Result<CkptManifest> read_manifest(const std::string& dir) {
       manifest.ranks = std::max<std::size_t>(
           1, static_cast<std::size_t>(std::atoll(value.c_str())));
     }
-    // A legacy "workers=" line (any value) is ignored: every worker mode
-    // wrote byte-identical snapshots, so it never changes the resume.
-    if (key == "transport") {
-      const auto transport = parse_transport(value);
-      if (transport.ok()) manifest.transport = *transport;
-    }
+    // Legacy "workers=" and "transport=" lines (any value) are ignored:
+    // every worker mode and frame carrier wrote byte-identical
+    // snapshots, so they never change the resume.
     if (key == "program") manifest.program = value;
   }
   if (manifest.input.empty() || manifest.output.empty()) {
@@ -411,12 +391,7 @@ int report_mpc_embedding(const mpc::Cluster& cluster,
                          const PointSet& points,
                          const MpcEmbedding& result,
                          const std::string& out_path) {
-  const Embedding embedding{result.tree,           result.embedded_points,
-                            result.scale_to_input, result.delta_used,
-                            result.buckets_used,   result.grids_used,
-                            result.dim_used,       result.fjlt_applied,
-                            result.retries_used,   /*point_ids=*/{}};
-  save_embedding(embedding, out_path, /*include_points=*/false);
+  save_embedding(result, out_path, /*include_points=*/false);
 
   const HstShape shape = hst_shape(result.tree);
   std::printf("embedded %zu points (R^%zu -> dim %zu, fjlt=%s, delta=%llu, "
@@ -433,7 +408,7 @@ int report_mpc_embedding(const mpc::Cluster& cluster,
               result.rounds_used, backend_name(config.backend));
   std::printf("fingerprint: %llu\n",
               static_cast<unsigned long long>(
-                  embedding_fingerprint(embedding)));
+                  embedding_fingerprint(result)));
 
   const auto totals = cluster.stats().channel_totals();
   std::size_t all_bytes = 0;
@@ -460,13 +435,11 @@ int cmd_embed_mpc(const PointSet& points, const std::string& in_path,
                   const std::string& out_path, std::uint64_t seed,
                   const std::string& checkpoint_dir, std::size_t every,
                   long long crash_at, mpc::Backend backend,
-                  std::size_t ranks, mpc::IpcOptions::Transport transport,
-                  const ObsOutputs& outputs) {
+                  std::size_t ranks, const ObsOutputs& outputs) {
   arm_tracer(outputs);
   const std::size_t input_bytes =
       points.size() * std::max<std::size_t>(points.dim(), 1) * sizeof(double);
   mpc::ClusterConfig config = mpc_cli_config(input_bytes, backend, ranks);
-  config.ipc.transport = transport;
   if (!checkpoint_dir.empty()) {
     config.checkpoint.mode = mpc::CheckpointPolicy::Mode::kEveryK;
     config.checkpoint.directory = checkpoint_dir;
@@ -487,8 +460,8 @@ int cmd_embed_mpc(const PointSet& points, const std::string& in_path,
     // Written before the run so a killed process leaves a resumable dir.
     std::error_code ec;
     std::filesystem::create_directories(checkpoint_dir, ec);
-    CkptManifest manifest{in_path, out_path, seed,      every,
-                          backend, ranks,    transport, /*program=*/""};
+    CkptManifest manifest{in_path, out_path, seed, every,
+                          backend, ranks,    /*program=*/""};
     const Status wrote = write_manifest(checkpoint_dir, manifest);
     if (!wrote.ok()) {
       std::fprintf(stderr, "mpc embed: %s\n", wrote.to_string().c_str());
@@ -510,7 +483,7 @@ int cmd_embed_mpc(const PointSet& points, const std::string& in_path,
     if (rc != 0) return rc;
     return write_obs_artifacts(outputs, [&](obs::Registry* registry) {
       cluster.stats().export_metrics(registry);
-      // Transport counters exist only after a multi-process round ran.
+      // ipc counters exist only after a multi-process round ran.
       if (const auto* executor = cluster.round_executor()) {
         executor->export_metrics(*registry);
       }
@@ -524,8 +497,8 @@ int cmd_embed_mpc(const PointSet& points, const std::string& in_path,
         if (!program.empty()) program += ',';
         program += record.label;
       }
-      CkptManifest manifest{in_path, out_path, seed,      every,
-                            backend, ranks,    transport, program};
+      CkptManifest manifest{in_path, out_path, seed,   every,
+                            backend, ranks,    program};
       const Status wrote = write_manifest(checkpoint_dir, manifest);
       if (!wrote.ok()) {
         std::fprintf(stderr, "mpc embed: %s\n", wrote.to_string().c_str());
@@ -565,7 +538,6 @@ int cmd_resume(int argc, char** argv) {
       points.size() * std::max<std::size_t>(points.dim(), 1) * sizeof(double);
   mpc::ClusterConfig config =
       mpc_cli_config(input_bytes, manifest->backend, manifest->ranks);
-  config.ipc.transport = manifest->transport;
   config.checkpoint.mode = mpc::CheckpointPolicy::Mode::kEveryK;
   config.checkpoint.directory = dir;
   config.checkpoint.every_k = manifest->every;
@@ -642,8 +614,8 @@ int cmd_embed(int argc, char** argv) {
       positional.size() > 2 && positional[2] == "mpc"
           ? known_flags("embed", flags,
                         {"--checkpoint-dir", "--every", "--crash-at",
-                         "--backend", "--ranks", "--transport",
-                         "--trace-out", "--metrics-out"})
+                         "--backend", "--ranks", "--trace-out",
+                         "--metrics-out"})
           : known_flags("embed", flags, {"--trace-out", "--metrics-out"});
   if (!known) return usage();
   const PointSet points = read_csv_points_file(positional[0]);
@@ -670,16 +642,9 @@ int cmd_embed(int argc, char** argv) {
       const auto ranks = std::max<std::size_t>(
           1, static_cast<std::size_t>(
                  std::atoll(flag_value(flags, "--ranks", "8").c_str())));
-      const auto transport =
-          parse_transport(flag_value(flags, "--transport", "shm"));
-      if (!transport.ok()) {
-        std::fprintf(stderr, "%s\n",
-                     transport.status().to_string().c_str());
-        return usage();
-      }
       return cmd_embed_mpc(points, positional[0], positional[1], seed,
                            flag_value(flags, "--checkpoint-dir", ""), every,
-                           crash_at, *backend, ranks, *transport, outputs);
+                           crash_at, *backend, ranks, outputs);
     } else if (method == "grid") {
       options.method = PartitionMethod::kGrid;
     } else if (method == "ball") {
